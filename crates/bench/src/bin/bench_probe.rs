@@ -18,6 +18,7 @@
 //! scalar/vectorized ratios**, which cancels machine-wide frequency drift
 //! out of the number the gate checks.
 
+use clyde_common::obs::json::{self, Json};
 use clyde_common::obs::WallTimer;
 use clyde_common::{FxHashMap, RowBlock, RowBlockBuilder};
 use clyde_ssb::gen::SsbGen;
@@ -45,30 +46,16 @@ const TIMED_ITERS: usize = 9;
 const WARMUP_ITERS: usize = 2;
 
 /// The per-optimization ablation points reported per query: all layers on,
-/// each layer individually off, and every layer off.
+/// each layer individually off, and every layer off. With one kernel layer
+/// left, `none` is the same point as `no-simd-compaction`; both stay so a
+/// fresh run compares row for row with committed ones.
 fn ablation_points() -> Vec<(&'static str, KernelOpts)> {
-    let on = KernelOpts::all_on();
     vec![
-        ("all-on", on),
+        ("all-on", KernelOpts::all_on()),
         (
             "no-simd-compaction",
             KernelOpts {
                 simd_compaction: false,
-                ..on
-            },
-        ),
-        (
-            "no-prefetch",
-            KernelOpts {
-                prefetch: false,
-                ..on
-            },
-        ),
-        (
-            "no-zone-fullcover",
-            KernelOpts {
-                zone_fullcover: false,
-                ..on
             },
         ),
         ("none", KernelOpts::none()),
@@ -259,22 +246,9 @@ fn bench_query(fx: &QueryFixture) -> QueryResult {
     }
 }
 
-/// Pull `"speedup": <num>` for `qid` out of a committed benchmark JSON.
-/// Hand-rolled on purpose (no serde in this workspace): finds the query's
-/// key, then the first `"speedup"` after it.
-fn recorded_speedup(json: &str, qid: &str) -> Option<f64> {
-    let key = format!("\"{qid}\"");
-    let at = json.find(&key)? + key.len();
-    let rest = &json[at..];
-    let sp = rest.find("\"speedup\"")?;
-    let after = &rest[sp + "\"speedup\"".len()..];
-    let colon = after.find(':')?;
-    let num: String = after[colon + 1..]
-        .chars()
-        .skip_while(|c| c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    num.parse().ok()
+/// The committed `queries.<qid>.speedup` of a parsed benchmark JSON.
+fn recorded_speedup(committed: &Json, qid: &str) -> Result<f64, String> {
+    json::number_at(committed, &["queries", qid, "speedup"])
 }
 
 fn main() {
@@ -341,12 +315,19 @@ fn main() {
     if let Some(path) = gate_path {
         let committed =
             std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("gate file {path}: {e}"));
+        let committed = json::parse(&committed).unwrap_or_else(|e| {
+            eprintln!("bench gate FAILED: {path} is not valid JSON: {e}");
+            std::process::exit(1);
+        });
         let mut failed = false;
         for r in &results {
-            let Some(recorded) = recorded_speedup(&committed, r.qid) else {
-                eprintln!("gate: {path} has no speedup for {}", r.qid);
-                failed = true;
-                continue;
+            let recorded = match recorded_speedup(&committed, r.qid) {
+                Ok(v) => v,
+                Err(e) => {
+                    eprintln!("gate: {path}: {e}");
+                    failed = true;
+                    continue;
+                }
             };
             let floor = recorded * 0.9;
             let ok = r.speedup >= floor;
@@ -363,5 +344,38 @@ fn main() {
             std::process::exit(1);
         }
         eprintln!("bench gate passed");
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn recorded_speedup_reads_only_its_own_query() {
+        let doc = json::parse(
+            r#"{"queries": {"Q1.1": {"probes": 7821},
+                            "Q2.1": {"speedup": 4.86}}}"#,
+        )
+        .unwrap();
+        assert_eq!(recorded_speedup(&doc, "Q2.1"), Ok(4.86));
+        let err = recorded_speedup(&doc, "Q1.1").unwrap_err();
+        assert!(err.contains("queries.Q1.1.speedup"), "{err}");
+        assert!(recorded_speedup(&doc, "Q3.2").is_err());
+    }
+
+    #[test]
+    fn committed_baseline_matches_the_suite() {
+        let doc = json::parse(include_str!("../../../../BENCH_probe.json")).unwrap();
+        let expect: Vec<&str> = ablation_points().iter().map(|(l, _)| *l).collect();
+        for qid in SUITE {
+            let query = doc.get("queries").and_then(|q| q.get(qid));
+            let Some(Json::Obj(ablations)) = query.and_then(|q| q.get("ablations")) else {
+                panic!("{qid}: no ablations object");
+            };
+            let labels: Vec<&str> = ablations.iter().map(|(l, _)| l.as_str()).collect();
+            assert_eq!(labels, expect, "{qid}");
+            assert!(recorded_speedup(&doc, qid).unwrap() > 1.0, "{qid}");
+        }
     }
 }

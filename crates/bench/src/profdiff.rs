@@ -661,20 +661,20 @@ mod tests {
 
     #[test]
     fn probe_artifacts_diff_by_layer() {
-        let mk = |vec_rps: f64, no_pref: f64| {
+        let mk = |vec_rps: f64, no_simd: f64| {
             Artifact::Probe(vec![ProbeRecord {
                 name: "Q2.1".into(),
                 scalar_rows_per_s: 10e6,
                 vectorized_rows_per_s: vec_rps,
                 speedup: vec_rps / 10e6,
-                ablations: vec![("no-prefetch".into(), no_pref)],
+                ablations: vec![("no-simd-compaction".into(), no_simd)],
             }])
         };
         let report = diff(&mk(50e6, 48e6), &mk(40e6, 48e6)).unwrap();
         let text = report.render();
         assert!(text.contains("Q2.1: vectorized 50.00M -> 40.00M rows/s (-20.0%)"));
-        // Benefit factor collapsed from 1.04x to 0.83x: prefetch named.
-        assert!(text.contains("layer no-prefetch"), "{text}");
+        // Benefit factor collapsed from 1.04x to 0.83x: simd-compaction named.
+        assert!(text.contains("layer no-simd-compaction"), "{text}");
     }
 
     #[test]

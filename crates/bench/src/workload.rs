@@ -15,6 +15,7 @@
 //! byte-stable across reruns and host thread counts — which is what lets
 //! CI gate on them exactly (see [`gate`]).
 
+use clyde_common::obs::json;
 use clyde_common::{ClydeError, Obs, Result};
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
 use clyde_mapred::{SchedPolicy, ServerConfig};
@@ -324,24 +325,6 @@ pub fn to_json(sf: f64, seed: u64, runs: &[PolicyRun]) -> String {
     out
 }
 
-/// Pull the number following `"field":` inside the `"section"` object of a
-/// committed gate JSON (same hand-rolled scan as `bench_probe`).
-pub fn recorded_number(json: &str, section: &str, field: &str) -> Option<f64> {
-    let key = format!("\"{section}\"");
-    let at = json.find(&key)? + key.len();
-    let rest = &json[at..];
-    let fkey = format!("\"{field}\"");
-    let fp = rest.find(&fkey)?;
-    let after = &rest[fp + fkey.len()..];
-    let colon = after.find(':')?;
-    let num: String = after[colon + 1..]
-        .chars()
-        .skip_while(|c| c.is_whitespace())
-        .take_while(|c| c.is_ascii_digit() || *c == '.' || *c == '-')
-        .collect();
-    num.parse().ok()
-}
-
 /// The CI workload gate. Fails (returns every violation) if:
 ///
 /// 1. fair scheduling does not beat FIFO on the starved tenant's p99, or
@@ -351,6 +334,8 @@ pub fn recorded_number(json: &str, section: &str, field: &str) -> Option<f64> {
 /// committed numbers exactly; the 5% floor only absorbs intentional cost
 /// recalibrations, not noise.
 pub fn gate(runs: &[PolicyRun], committed: &str) -> std::result::Result<(), Vec<String>> {
+    let committed = json::parse(committed)
+        .map_err(|e| vec![format!("committed gate is not valid JSON: {e}")])?;
     let mut violations = Vec::new();
     match (
         runs.iter()
@@ -378,10 +363,14 @@ pub fn gate(runs: &[PolicyRun], committed: &str) -> std::result::Result<(), Vec<
     }
     for r in runs {
         let label = r.policy.label();
-        let Some(recorded) = recorded_number(committed, label, "throughput_jobs_per_min") else {
-            violations.push(format!("committed gate has no throughput for `{label}`"));
-            continue;
-        };
+        let recorded =
+            match json::number_at(&committed, &["policies", label, "throughput_jobs_per_min"]) {
+                Ok(v) => v,
+                Err(e) => {
+                    violations.push(format!("committed gate: {e}"));
+                    continue;
+                }
+            };
         let floor = recorded * 0.95;
         if r.throughput_jobs_per_min >= floor {
             eprintln!(
@@ -448,20 +437,17 @@ mod tests {
     }
 
     #[test]
-    fn gate_parses_committed_numbers() {
-        let json = "{ \"policies\": { \"fifo\": { \"throughput_jobs_per_min\": 12.50 },\n\
-                     \"fair\": { \"throughput_jobs_per_min\": 13.25 } } }";
-        assert_eq!(
-            recorded_number(json, "fifo", "throughput_jobs_per_min"),
-            Some(12.5)
-        );
-        assert_eq!(
-            recorded_number(json, "fair", "throughput_jobs_per_min"),
-            Some(13.25)
-        );
-        assert_eq!(
-            recorded_number(json, "capacity", "throughput_jobs_per_min"),
-            None
-        );
+    fn committed_baseline_has_every_policy_throughput() {
+        let doc = json::parse(include_str!("../../../BENCH_workload.json")).unwrap();
+        for p in SchedPolicy::all() {
+            let path = ["policies", p.label(), "throughput_jobs_per_min"];
+            assert!(json::number_at(&doc, &path).unwrap() > 0.0, "{path:?}");
+        }
+    }
+
+    #[test]
+    fn gate_rejects_a_baseline_it_cannot_read() {
+        let errs = gate(&[], "{").unwrap_err();
+        assert!(errs[0].contains("not valid JSON"), "{errs:?}");
     }
 }

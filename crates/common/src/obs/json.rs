@@ -1,8 +1,9 @@
-//! Minimal JSON support for trace export and validation.
+//! Minimal JSON support for trace export, validation and committed bench
+//! baselines.
 //!
 //! The workspace is offline and dependency-free by design, so the Chrome
-//! trace writer hand-assembles its JSON and the validator uses this small
-//! recursive-descent parser. Only what trace files need is supported
+//! trace writer hand-assembles its JSON and the validator and the bench
+//! gates use this small recursive-descent parser. Only what trace files need is supported
 //! (no `\u` escapes are *emitted*; the parser accepts them).
 
 /// Escape a string for embedding inside a JSON string literal.
@@ -61,6 +62,19 @@ impl Json {
             _ => None,
         }
     }
+}
+
+/// The number at `path`, a chain of object keys from `doc`. A missing key
+/// or a non-number value is an error naming the dotted path.
+pub fn number_at(doc: &Json, path: &[&str]) -> Result<f64, String> {
+    let mut v = doc;
+    for (i, key) in path.iter().enumerate() {
+        v = v
+            .get(key)
+            .ok_or_else(|| format!("missing field {}", path[..=i].join(".")))?;
+    }
+    v.as_num()
+        .ok_or_else(|| format!("field {} is not a number", path.join(".")))
 }
 
 /// Parse a complete JSON document; trailing non-whitespace is an error.
@@ -279,6 +293,20 @@ mod tests {
         assert_eq!(
             events[0].get("args").unwrap().get("rows").unwrap().as_str(),
             Some("42")
+        );
+    }
+
+    #[test]
+    fn number_at_names_the_missing_or_malformed_field() {
+        let v = parse(r#"{"a":{"b":2.5,"s":"x"}}"#).unwrap();
+        assert_eq!(number_at(&v, &["a", "b"]), Ok(2.5));
+        assert_eq!(
+            number_at(&v, &["a", "c"]),
+            Err("missing field a.c".to_string())
+        );
+        assert_eq!(
+            number_at(&v, &["a", "s"]),
+            Err("field a.s is not a number".to_string())
         );
     }
 

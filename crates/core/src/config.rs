@@ -2,10 +2,9 @@
 
 /// Which of Clydesdale's techniques are enabled. Defaults to all on (the
 /// system as shipped); the Figure 9 ablation turns them off one at a time.
-/// The `morsel`/`dict_predicates`/`simd_compaction`/`prefetch`/
-/// `zone_fullcover` flags ablate the probe-kernel optimization stack
-/// individually (DESIGN.md §10); results are identical with any of them
-/// off.
+/// The `vectorized`/`zone_skipping`/`dict_predicates`/`simd_compaction`
+/// flags ablate execution-only layers individually (DESIGN.md §10);
+/// results are identical with any of them off.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Features {
     /// Columnar scans: read only the query's columns from CIF. Off = read
@@ -30,11 +29,6 @@ pub struct Features {
     /// cannot satisfy the query's predicates are skipped without decoding.
     /// Results are identical either way.
     pub zone_skipping: bool,
-    /// Morsel-driven intra-task parallelism: a map task's threads pull
-    /// block-sized morsels from a shared work queue instead of claiming
-    /// whole splits, so short splits no longer leave threads idle. Off =
-    /// one split part per thread (the pre-morsel scheduler).
-    pub morsel: bool,
     /// Dictionary-encoded predicate compilation: string predicates on
     /// dimension columns are compiled to `u32` code compares against a
     /// sorted per-column dictionary during the hash-table build (equality
@@ -44,14 +38,6 @@ pub struct Features {
     /// Branch-free (SIMD-friendly) selection-vector compaction in the
     /// vectorized kernel. Off = the branchy compaction loop.
     pub simd_compaction: bool,
-    /// Software prefetching of direct-index probe slots, batched
-    /// index-then-prefetch-then-probe. Off = demand loads only.
-    pub prefetch: bool,
-    /// Block-level zone-map evaluation inside the kernel: a block whose
-    /// min/max fully covers a fact predicate skips per-row evaluation for
-    /// it; a disjoint block is dropped whole. Off = per-row predicates
-    /// always run.
-    pub zone_fullcover: bool,
 }
 
 impl Default for Features {
@@ -63,11 +49,8 @@ impl Default for Features {
             jvm_reuse: true,
             vectorized: true,
             zone_skipping: true,
-            morsel: true,
             dict_predicates: true,
             simd_compaction: true,
-            prefetch: true,
-            zone_fullcover: true,
         }
     }
 }
@@ -90,11 +73,8 @@ impl Features {
             self.jvm_reuse,
             self.vectorized,
             self.zone_skipping,
-            self.morsel,
             self.dict_predicates,
             self.simd_compaction,
-            self.prefetch,
-            self.zone_fullcover,
         ]
         .iter()
         .map(|b| if *b { '1' } else { '0' })
@@ -137,13 +117,6 @@ impl Features {
         }
     }
 
-    pub fn without_morsel() -> Features {
-        Features {
-            morsel: false,
-            ..Features::default()
-        }
-    }
-
     pub fn without_dict_predicates() -> Features {
         Features {
             dict_predicates: false,
@@ -158,20 +131,6 @@ impl Features {
         }
     }
 
-    pub fn without_prefetch() -> Features {
-        Features {
-            prefetch: false,
-            ..Features::default()
-        }
-    }
-
-    pub fn without_zone_fullcover() -> Features {
-        Features {
-            zone_fullcover: false,
-            ..Features::default()
-        }
-    }
-
     /// The single-flag-off ablation points, paired with their labels.
     pub fn ablations() -> Vec<(&'static str, Features)> {
         vec![
@@ -180,11 +139,8 @@ impl Features {
             ("no-multithreading", Features::without_multithreading()),
             ("no-vectorized", Features::without_vectorized()),
             ("no-zone-skipping", Features::without_zone_skipping()),
-            ("no-morsel", Features::without_morsel()),
             ("no-dict-predicates", Features::without_dict_predicates()),
             ("no-simd-compaction", Features::without_simd_compaction()),
-            ("no-prefetch", Features::without_prefetch()),
-            ("no-zone-fullcover", Features::without_zone_fullcover()),
         ]
     }
 
@@ -211,8 +167,7 @@ mod tests {
         let f = Features::default();
         assert!(f.columnar && f.block_iteration && f.multithreading && f.jvm_reuse);
         assert!(f.vectorized && f.zone_skipping);
-        assert!(f.morsel && f.dict_predicates && f.simd_compaction);
-        assert!(f.prefetch && f.zone_fullcover);
+        assert!(f.dict_predicates && f.simd_compaction);
         assert_eq!(f.label(), "all-on");
     }
 
@@ -231,13 +186,12 @@ mod tests {
             Features::without_zone_skipping().label(),
             "no-zone-skipping"
         );
-        assert!(!Features::without_morsel().morsel);
-        assert_eq!(Features::without_morsel().label(), "no-morsel");
         assert!(!Features::without_dict_predicates().dict_predicates);
         assert!(!Features::without_simd_compaction().simd_compaction);
-        assert!(!Features::without_prefetch().prefetch);
-        assert!(!Features::without_zone_fullcover().zone_fullcover);
-        assert_eq!(Features::without_prefetch().label(), "no-prefetch");
+        assert_eq!(
+            Features::without_simd_compaction().label(),
+            "no-simd-compaction"
+        );
     }
 
     #[test]

@@ -226,13 +226,6 @@ impl DimHashTable {
         &self.aux_rows[id as usize]
     }
 
-    /// Number of slots in the direct-index array, `None` when the table is
-    /// hash-probed. Public so the `profile` bench target can report whether
-    /// a fixture clears the kernel's prefetch gate.
-    pub fn direct_slots(&self) -> Option<usize> {
-        self.direct.as_ref().map(|(_, ids)| ids.len())
-    }
-
     /// Raw direct-index parts `(min_key, ids)` for the vectorized kernel's
     /// inner loops, which index the array directly (ids are [`NONE_ID`] for
     /// absent keys). `None` when the table is hash-probed.

@@ -5,13 +5,13 @@
 //! 1. obtains the dimension hash tables from per-node state, building them
 //!    (single-threaded) only if this is the first task of the query on this
 //!    node — JVM reuse means subsequent tasks find them ready;
-//! 2. unpacks the multi-split: with **morsel parallelism** (the default)
-//!    every thread pulls one block at a time from a shared source, so even a
-//!    single constituent split's probe work spreads across all
-//!    `host_threads` workers; with morsels ablated each thread claims whole
-//!    parts, the paper's `getMultipleReaders()` shape (Section 5.1);
-//! 3. each thread probes its blocks against the *shared, read-only* tables,
-//!    aggregating into a thread-local group map;
+//! 2. unpacks the multi-split (the paper's `getMultipleReaders()`, Section
+//!    5.1) into one shared **morsel** source: every thread pulls one block
+//!    at a time, so even a single constituent split's probe work spreads
+//!    across all `host_threads` workers. A row-shaped part (block iteration
+//!    ablated) is one morsel, drained whole by the thread that takes it;
+//! 3. each thread probes its morsels against the *shared, read-only*
+//!    tables, aggregating into a thread-local group map;
 //! 4. the merged per-task group map is emitted — one record per group, the
 //!    combiner effect of Figure 4.
 //!
@@ -34,10 +34,10 @@ use crate::probe::{
 use clyde_common::lockorder::Mutex;
 use clyde_common::obs::{Phase, WallTimer};
 use clyde_common::{rowcodec, ClydeError, Datum, FxHashMap, Result, Row, RowBlock, Schema};
-use clyde_mapred::{BlockReader, MapRunner, MapTaskContext, Reader};
+use clyde_mapred::{BlockReader, MapRunner, MapTaskContext, Reader, RecordReader};
 use clyde_ssb::loader::SsbLayout;
 use clyde_ssb::queries::StarQuery;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// The Clydesdale map runner. Also handles the single-threaded ablation
@@ -51,7 +51,17 @@ pub struct MtMapRunner {
     pub features: Features,
 }
 
-/// Shared morsel source: hands out `(morsel_id, block)` pairs across the
+/// One unit of probe work.
+enum Morsel {
+    /// A column block of a block-shaped part.
+    Block(RowBlock),
+    /// A whole row-shaped part (block iteration ablated): rows cannot be
+    /// cut into blocks without materializing them, so the part is drained
+    /// row by row outside the lock by the thread that takes it.
+    Rows(Box<dyn RecordReader>),
+}
+
+/// Shared morsel source: hands out `(morsel_id, morsel)` pairs across the
 /// runner's threads. Deserializing the next block happens under the lock
 /// (it is cheap — a columnar slice), probing happens outside it, so all
 /// threads share the probe work of even a single constituent split.
@@ -82,31 +92,28 @@ impl<'a, 'b> MorselSource<'a, 'b> {
 
     /// The next morsel, or `None` when every part is drained. Morsel ids
     /// are assigned in hand-out order: dense, starting at 0.
-    fn next(&self) -> Result<Option<(u64, RowBlock)>> {
+    fn next(&self) -> Result<Option<(u64, Morsel)>> {
         let mut st = self.state.lock();
-        loop {
+        let morsel = loop {
             if st.current.is_none() {
                 if st.next_part >= self.parts {
                     return Ok(None);
                 }
                 let part = st.next_part;
                 st.next_part += 1;
-                st.current = Some(
-                    self.ctx
-                        .input
-                        .open(self.ctx.split, part, &self.ctx.io)?
-                        .into_blocks()?,
-                );
+                match self.ctx.input.open(self.ctx.split, part, &self.ctx.io)? {
+                    Reader::Blocks(r) => st.current = Some(r),
+                    Reader::Rows(r) => break Morsel::Rows(r),
+                }
             }
             match st.current.as_mut().expect("opened above").next_block()? {
-                Some(block) => {
-                    let id = st.next_morsel;
-                    st.next_morsel += 1;
-                    return Ok(Some((id, block)));
-                }
+                Some(block) => break Morsel::Block(block),
                 None => st.current = None,
             }
-        }
+        };
+        let id = st.next_morsel;
+        st.next_morsel += 1;
+        Ok(Some((id, morsel)))
     }
 }
 
@@ -138,9 +145,9 @@ impl MtMapRunner {
         Ok(tables)
     }
 
-    /// Morsel-driven probe: threads pull blocks from the shared source and
+    /// Morsel-driven probe: threads pull morsels from the shared source and
     /// never idle while another part still has blocks. Thread-local results
-    /// land in `done` tagged with the first morsel id each thread handled.
+    /// come back tagged with the first morsel id each thread handled.
     #[allow(clippy::too_many_arguments)]
     fn run_morsels(
         &self,
@@ -171,10 +178,10 @@ impl MtMapRunner {
                         stats: ProbeStats::default(),
                     };
                     let mut buf = SelBuf::default();
-                    while let Some((id, block)) = source.next()? {
+                    while let Some((id, morsel)) = source.next()? {
                         res.first_morsel = res.first_morsel.min(id);
-                        match (&mut res.vacc, layout) {
-                            (Some(va), Some(l)) => probe_block_vec(
+                        match (morsel, &mut res.vacc, layout) {
+                            (Morsel::Block(block), Some(va), Some(l)) => probe_block_vec(
                                 &block,
                                 plan,
                                 tables,
@@ -184,7 +191,14 @@ impl MtMapRunner {
                                 &mut res.stats,
                                 kopts,
                             )?,
-                            _ => probe_block(&block, plan, tables, &mut res.acc, &mut res.stats)?,
+                            (Morsel::Block(block), ..) => {
+                                probe_block(&block, plan, tables, &mut res.acc, &mut res.stats)?
+                            }
+                            (Morsel::Rows(mut r), ..) => {
+                                while let Some((_, row)) = r.next()? {
+                                    probe_row(&row, plan, tables, &mut res.acc, &mut res.stats)?;
+                                }
+                            }
                         }
                     }
                     done.lock().push(res);
@@ -208,101 +222,11 @@ impl MtMapRunner {
         }
         Ok((results, stats))
     }
-
-    /// Whole-part probe (morsels ablated, or a row-shaped input): threads
-    /// claim constituent splits and keep every block of a part to
-    /// themselves — the paper's original Figure 5 shape.
-    #[allow(clippy::too_many_arguments)]
-    fn run_parts(
-        &self,
-        ctx: &MapTaskContext<'_>,
-        tables: &DimTables,
-        plan: &ProbePlan,
-        layout: &Option<GroupLayout>,
-        kopts: KernelOpts,
-        parts: usize,
-        threads: usize,
-        probe_ns: &AtomicU64,
-    ) -> Result<(Vec<ThreadResult>, ProbeStats)> {
-        let next_part = AtomicUsize::new(0);
-        let done: Mutex<Vec<ThreadResult>> = Mutex::new(Vec::with_capacity(threads));
-        std::thread::scope(|scope| -> Result<()> {
-            let mut handles = Vec::with_capacity(threads);
-            for _ in 0..threads {
-                let next_part = &next_part;
-                let done = &done;
-                handles.push(scope.spawn(move || -> Result<()> {
-                    let thread_start = WallTimer::start();
-                    let mut res = ThreadResult {
-                        first_morsel: u64::MAX,
-                        acc: FxHashMap::default(),
-                        vacc: layout
-                            .as_ref()
-                            .map(|l| GroupAcc::new(l, &self.query.aggregate)),
-                        stats: ProbeStats::default(),
-                    };
-                    let mut buf = SelBuf::default();
-                    loop {
-                        let part = next_part.fetch_add(1, Ordering::Relaxed);
-                        if part >= parts {
-                            break;
-                        }
-                        res.first_morsel = res.first_morsel.min(part as u64);
-                        match ctx.input.open(ctx.split, part, &ctx.io)? {
-                            Reader::Blocks(mut r) => {
-                                while let Some(block) = r.next_block()? {
-                                    match (&mut res.vacc, layout) {
-                                        (Some(va), Some(l)) => probe_block_vec(
-                                            &block,
-                                            plan,
-                                            tables,
-                                            l,
-                                            va,
-                                            &mut buf,
-                                            &mut res.stats,
-                                            kopts,
-                                        )?,
-                                        _ => probe_block(
-                                            &block,
-                                            plan,
-                                            tables,
-                                            &mut res.acc,
-                                            &mut res.stats,
-                                        )?,
-                                    }
-                                }
-                            }
-                            Reader::Rows(mut r) => {
-                                while let Some((_, row)) = r.next()? {
-                                    probe_row(&row, plan, tables, &mut res.acc, &mut res.stats)?;
-                                }
-                            }
-                        }
-                    }
-                    done.lock().push(res);
-                    probe_ns.fetch_add(thread_start.elapsed_ns(), Ordering::Relaxed);
-                    Ok(())
-                }));
-            }
-            for h in handles {
-                h.join()
-                    .map_err(|_| ClydeError::MapReduce("probe thread panicked".into()))??;
-            }
-            Ok(())
-        })?;
-        let mut results = done.into_inner();
-        results.sort_by_key(|r| r.first_morsel);
-        let mut stats = ProbeStats::default();
-        for r in &results {
-            stats.add(&r.stats);
-        }
-        Ok((results, stats))
-    }
 }
 
 /// What one probe thread produced, tagged for canonical merge ordering.
 struct ThreadResult {
-    /// Lowest morsel id (or part index) this thread processed; `u64::MAX`
+    /// Lowest morsel id this thread processed; `u64::MAX`
     /// when it got none.
     first_morsel: u64,
     acc: FxHashMap<Row, i64>,
@@ -326,29 +250,14 @@ impl MapRunner for MtMapRunner {
         let kopts = KernelOpts::from_features(&self.features);
 
         let parts = ctx.split.spec.num_parts();
-        // Block iteration is what makes morsels: a block is a morsel. The
-        // row-reader ablation keeps the whole-part path.
-        let morsels = self.features.morsel && self.features.block_iteration;
         // Spawn count is a host-execution knob; pricing uses `ctx.threads`.
-        // Morsel sharing is finer than parts, so it is not capped by them.
-        let threads = if morsels {
-            (ctx.host_threads as usize).max(1)
-        } else {
-            (ctx.host_threads as usize).min(parts).max(1)
-        };
+        let threads = (ctx.host_threads as usize).max(1);
         // Wall-clock spent probing, summed across the runner's threads
         // (observability only — simulated time comes from the cost model).
         let probe_ns = AtomicU64::new(0);
-
-        let (results, stats) = if morsels {
-            self.run_morsels(
-                ctx, &tables, &plan, &layout, kopts, parts, threads, &probe_ns,
-            )?
-        } else {
-            self.run_parts(
-                ctx, &tables, &plan, &layout, kopts, parts, threads, &probe_ns,
-            )?
-        };
+        let (results, stats) = self.run_morsels(
+            ctx, &tables, &plan, &layout, kopts, parts, threads, &probe_ns,
+        )?;
 
         ctx.note_wall_phase(Phase::Probe, probe_ns.into_inner());
         let emit_start = WallTimer::start();
@@ -359,7 +268,6 @@ impl MapRunner for MtMapRunner {
                 c.rowiter_rows += stats.rows;
             }
             c.probe_rows += stats.probes;
-            c.prefetch_activations += stats.prefetch_activations;
         });
 
         // Merge thread results in first-morsel order (already sorted), then

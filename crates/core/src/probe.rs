@@ -79,8 +79,9 @@ impl ProbePlan {
     }
 }
 
-/// Counters produced by the probe phase, feeding the cost model.
-#[derive(Debug, Default, Clone, Copy)]
+/// Counters produced by the probe phase, feeding the cost model. Every
+/// kernel variant counts identically.
+#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
 pub struct ProbeStats {
     /// Rows iterated.
     pub rows: u64,
@@ -89,28 +90,13 @@ pub struct ProbeStats {
     pub probes: u64,
     /// Rows surviving all predicates and probes.
     pub survivors: u64,
-    /// Joins probed with software prefetching active (direct table cleared
-    /// [`PREFETCH_MIN_SLOTS`]). Kernel-specific: the scalar path never
-    /// prefetches, so equality deliberately ignores this field.
-    pub prefetch_activations: u64,
 }
-
-/// Semantic equality: the invariant shared by every kernel variant is the
-/// rows/probes/survivors accounting, not which optimization layers fired.
-impl PartialEq for ProbeStats {
-    fn eq(&self, other: &ProbeStats) -> bool {
-        self.rows == other.rows && self.probes == other.probes && self.survivors == other.survivors
-    }
-}
-
-impl Eq for ProbeStats {}
 
 impl ProbeStats {
     pub fn add(&mut self, other: &ProbeStats) {
         self.rows += other.rows;
         self.probes += other.probes;
         self.survivors += other.survivors;
-        self.prefetch_activations += other.prefetch_activations;
     }
 }
 
@@ -361,12 +347,6 @@ pub struct KernelOpts {
     /// Branch-free, fixed-width-lane selection compaction (autovectorized
     /// predicate lanes + cursor-advance stores) instead of branchy pushes.
     pub simd_compaction: bool,
-    /// Batched index-then-prefetch-then-probe over large direct-index
-    /// tables.
-    pub prefetch: bool,
-    /// Consult block zone maps: skip per-row work for fully-covered
-    /// predicates, drop provably disjoint blocks whole.
-    pub zone_fullcover: bool,
 }
 
 impl Default for KernelOpts {
@@ -379,8 +359,6 @@ impl KernelOpts {
     pub fn all_on() -> KernelOpts {
         KernelOpts {
             simd_compaction: true,
-            prefetch: true,
-            zone_fullcover: true,
         }
     }
 
@@ -388,30 +366,18 @@ impl KernelOpts {
     pub fn none() -> KernelOpts {
         KernelOpts {
             simd_compaction: false,
-            prefetch: false,
-            zone_fullcover: false,
         }
     }
 
     pub fn from_features(f: &Features) -> KernelOpts {
         KernelOpts {
             simd_compaction: f.simd_compaction,
-            prefetch: f.prefetch,
-            zone_fullcover: f.zone_fullcover,
         }
     }
 
-    /// All 8 flag combinations, for equivalence sweeps.
+    /// Every flag combination, for equivalence sweeps.
     pub fn all_combinations() -> Vec<KernelOpts> {
-        let mut out = Vec::with_capacity(8);
-        for bits in 0u8..8 {
-            out.push(KernelOpts {
-                simd_compaction: bits & 1 != 0,
-                prefetch: bits & 2 != 0,
-                zone_fullcover: bits & 4 != 0,
-            });
-        }
-        out
+        vec![KernelOpts::all_on(), KernelOpts::none()]
     }
 }
 
@@ -420,43 +386,6 @@ fn pred_ok(p: &CompiledFactPred, v: i32) -> bool {
     match *p {
         CompiledFactPred::Between { lo, hi, .. } => v >= lo && v <= hi,
         CompiledFactPred::Lt { value, .. } => v < value,
-    }
-}
-
-/// How a block's zone relates to one predicate.
-enum ZoneRel {
-    /// Every row in the block satisfies the predicate: skip its per-row
-    /// evaluation entirely.
-    Covered,
-    /// No row can satisfy it: drop the block.
-    Disjoint,
-    /// Mixed or unknown: evaluate per row.
-    Partial,
-}
-
-fn zone_relation(p: &CompiledFactPred, zone: Option<(i32, i32)>) -> ZoneRel {
-    let Some((zlo, zhi)) = zone else {
-        return ZoneRel::Partial;
-    };
-    match *p {
-        CompiledFactPred::Between { lo, hi, .. } => {
-            if zlo >= lo && zhi <= hi {
-                ZoneRel::Covered
-            } else if zhi < lo || zlo > hi {
-                ZoneRel::Disjoint
-            } else {
-                ZoneRel::Partial
-            }
-        }
-        CompiledFactPred::Lt { value, .. } => {
-            if zhi < value {
-                ZoneRel::Covered
-            } else if zlo >= value {
-                ZoneRel::Disjoint
-            } else {
-                ZoneRel::Partial
-            }
-        }
     }
 }
 
@@ -512,32 +441,6 @@ fn compact_sel_next(sel: &mut [u32], live: usize, p: &CompiledFactPred, vals: &[
     w
 }
 
-/// Prefetch only direct-index tables at least this many slots large
-/// (u32 slots — 2 MiB, past L2): smaller ones are cache-resident after a
-/// pass, where a prefetch is measured pure overhead (~20% slower on the
-/// L2-resident date table — the probe loops are issue-bound, so even the
-/// few extra prefetch-address instructions cost).
-/// Public so the `profile` bench target can size its fixture to provably
-/// clear the gate (and report when it does not).
-pub const PREFETCH_MIN_SLOTS: usize = 1 << 19;
-
-/// How many rows ahead the probe loops prefetch the table slot: far enough
-/// to cover a cache miss, near enough to stay inside the block.
-const PREFETCH_DIST: usize = 16;
-
-/// Software-prefetch the cache line holding `p` into all levels (no-op on
-/// non-x86_64 targets).
-#[inline(always)]
-fn prefetch_read<T>(p: *const T) {
-    #[cfg(target_arch = "x86_64")]
-    // SAFETY: prefetch is a pure performance hint with no memory effects.
-    unsafe {
-        core::arch::x86_64::_mm_prefetch(p.cast::<i8>(), core::arch::x86_64::_MM_HINT_T0)
-    }
-    #[cfg(not(target_arch = "x86_64"))]
-    let _ = p;
-}
-
 /// Probe one direct-index table over the current selection, compacting
 /// `sel`/`keys` in place; returns the survivor count. With `FUSED` the
 /// selection is the identity `0..len` (the caller skipped materializing
@@ -548,8 +451,6 @@ fn prefetch_read<T>(p: *const T) {
 /// with a cursor that advances by the hit bit (wins when hits are
 /// unpredictable), or plain branches (wins when the table is so selective
 /// — or so permissive — that the branch predictor is nearly always right).
-/// `do_prefetch` issues a software prefetch [`PREFETCH_DIST`] rows ahead
-/// inside the same pass, hiding table-slot latency without a second loop.
 #[allow(clippy::too_many_arguments)]
 fn probe_direct<const FUSED: bool>(
     len: usize,
@@ -561,7 +462,6 @@ fn probe_direct<const FUSED: bool>(
     shift: u32,
     contrib: u64,
     branch_free: bool,
-    do_prefetch: bool,
 ) -> usize {
     // Direct-table keys come from i32 columns, so the slot index fits u32
     // arithmetic: a negative or overlarge difference wraps above the slot
@@ -569,27 +469,12 @@ fn probe_direct<const FUSED: bool>(
     let min32 = min as u32;
     let end = ids.len();
     let mut w = 0usize;
-    macro_rules! ahead {
-        ($r:expr) => {
-            if do_prefetch {
-                let r2 = $r + PREFETCH_DIST;
-                if r2 < len {
-                    let i2 = if FUSED { r2 } else { sel[r2] as usize };
-                    let idx2 = (fk[i2] as u32).wrapping_sub(min32) as usize;
-                    if idx2 < end {
-                        prefetch_read(&ids[idx2]);
-                    }
-                }
-            }
-        };
-    }
     if FUSED && contrib == 0 && branch_free {
         // Branch-free and key-free: the join neither reads packed keys
         // (fused: base is 0) nor adds bits, so the scattered key store is
         // replaced by one sequential fill of the survivor prefix.
-        for r in 0..len {
-            ahead!(r);
-            let idx = (fk[r] as u32).wrapping_sub(min32) as usize;
+        for (r, &key) in fk[..len].iter().enumerate() {
+            let idx = (key as u32).wrapping_sub(min32) as usize;
             let in_range = idx < end;
             let id = ids[if in_range { idx } else { 0 }];
             let hit = in_range & (id != NONE_ID);
@@ -601,7 +486,6 @@ fn probe_direct<const FUSED: bool>(
         // Misses write garbage at `w` that the next hit (or the caller's
         // live count) makes unreachable.
         for r in 0..len {
-            ahead!(r);
             let i = if FUSED { r } else { sel[r] as usize };
             let idx = (fk[i] as u32).wrapping_sub(min32) as usize;
             let in_range = idx < end;
@@ -616,9 +500,8 @@ fn probe_direct<const FUSED: bool>(
         // The join neither reads packed keys (fused: base is 0) nor adds
         // bits to them — every surviving key is 0, so one sequential fill
         // afterwards replaces a scattered store per row.
-        for r in 0..len {
-            ahead!(r);
-            let idx = (fk[r] as u32).wrapping_sub(min32) as usize;
+        for (r, &key) in fk[..len].iter().enumerate() {
+            let idx = (key as u32).wrapping_sub(min32) as usize;
             if idx < end && ids[idx] != NONE_ID {
                 sel[w] = r as u32;
                 w += 1;
@@ -627,7 +510,6 @@ fn probe_direct<const FUSED: bool>(
         keys[..w].fill(0);
     } else {
         for r in 0..len {
-            ahead!(r);
             let i = if FUSED { r } else { sel[r] as usize };
             let idx = (fk[i] as u32).wrapping_sub(min32) as usize;
             if idx < end {
@@ -658,13 +540,11 @@ const BRANCH_FREE_BAND: (f64, f64) = (0.08, 0.92);
 /// in `acc` under packed group-id keys; use [`GroupLayout::rematerialize`]
 /// to recover the group `Row`s.
 ///
-/// The optimization stack (each layer ablatable, DESIGN.md §10):
-/// zone-fullcover drops or pre-passes whole blocks from their zone maps;
-/// the predicate stage compacts branch-free over fixed-width lanes; joins
-/// against direct-index tables run select+cursor-advance loops with
-/// optional batched software prefetch; and when no predicate survives the
-/// zone stage, the first join fuses with selection-vector creation so the
-/// identity selection is never materialized.
+/// The predicate stage compacts branch-free over fixed-width lanes (the
+/// ablatable `simd_compaction` layer, DESIGN.md §10); joins against
+/// direct-index tables run select+cursor-advance loops; and when the query
+/// has no fact predicate, the first join fuses with selection-vector
+/// creation so the identity selection is never materialized.
 #[allow(clippy::too_many_arguments)]
 pub fn probe_block_vec(
     block: &RowBlock,
@@ -715,30 +595,14 @@ pub fn probe_block_vec(
         keys.resize(n, 0);
     }
 
-    // Zone stage: a predicate whose range covers the block's zone is
-    // dropped (every row passes); a disjoint one rejects the block with
-    // zero probes — exactly what the scalar loop would count.
-    let mut active: Vec<(&CompiledFactPred, &[i32])> = Vec::with_capacity(plan.fact_preds.len());
-    for (p, s) in plan.fact_preds.iter().zip(&pred_slices) {
-        let zone = if opts.zone_fullcover {
-            block.zone(p.col())
-        } else {
-            None
-        };
-        match zone_relation(p, zone) {
-            ZoneRel::Covered => {}
-            ZoneRel::Disjoint => return Ok(()),
-            ZoneRel::Partial => active.push((p, s)),
-        }
-    }
-
-    // Predicate stage: build the selection vector. The first active
-    // predicate filters the full index range directly; later ones compact
-    // in place. With no active predicate the identity selection is left
-    // implicit for the first join to fuse with.
-    let fuse_first_join = active.is_empty() && !fk_slices.is_empty();
+    // Predicate stage: build the selection vector. The first predicate
+    // filters the full index range directly; later ones compact in place.
+    // With no predicate the identity selection is left implicit for the
+    // first join to fuse with.
+    let preds: Vec<(&CompiledFactPred, &[i32])> = plan.fact_preds.iter().zip(pred_slices).collect();
+    let fuse_first_join = preds.is_empty() && !fk_slices.is_empty();
     let mut live: usize;
-    if let Some((&(p, s), rest)) = active.split_first() {
+    if let Some((&(p, s), rest)) = preds.split_first() {
         if opts.simd_compaction {
             live = compact_sel_first(sel, n, p, s);
         } else {
@@ -804,10 +668,6 @@ pub fn probe_block_vec(
                 let branch_free = opts.simd_compaction
                     && rate >= BRANCH_FREE_BAND.0
                     && rate <= BRANCH_FREE_BAND.1;
-                let do_prefetch = opts.prefetch && ids.len() >= PREFETCH_MIN_SLOTS;
-                if do_prefetch {
-                    stats.prefetch_activations += 1;
-                }
                 if fused {
                     probe_direct::<true>(
                         len,
@@ -819,7 +679,6 @@ pub fn probe_block_vec(
                         shift,
                         contrib,
                         branch_free,
-                        do_prefetch,
                     )
                 } else {
                     probe_direct::<false>(
@@ -832,7 +691,6 @@ pub fn probe_block_vec(
                         shift,
                         contrib,
                         branch_free,
-                        do_prefetch,
                     )
                 }
             }
@@ -1076,99 +934,25 @@ mod tests {
         );
     }
 
-    #[test]
-    fn prefetch_activations_count_large_direct_tables() {
-        // Q4.1's part join keeps 2/5 of the dimension (mfgr in #1/#2), dense
-        // enough for a direct table over the full key range — hand a part
-        // table larger than PREFETCH_MIN_SLOTS to open the prefetch gate.
-        let data = SsbGen::new(0.005, 46).gen_all();
-        let q = query_by_id("Q4.1").unwrap();
-        let fact_schema = schema::lineorder_schema();
-        let cols: Vec<usize> = q
-            .fact_columns()
-            .iter()
-            .map(|c| fact_schema.index_of(c).unwrap())
-            .collect();
-        let scan_schema = fact_schema.project(&cols);
-        let plan = ProbePlan::compile(&q, &scan_schema).unwrap();
-        let big_parts: Vec<Row> = (1..=(PREFETCH_MIN_SLOTS as i32 + 16))
-            .map(|key| {
-                clyde_common::row![
-                    key, "part", "MFGR#1", "MFGR#11", "MFGR#111", "red", "STANDARD", 1i32, "BOX"
-                ]
-            })
-            .collect();
-        let tables = DimTables::build_all(&q.joins, |dim| {
-            if dim == "part" {
-                Ok(big_parts.clone())
-            } else {
-                Ok(data.dimension(dim).unwrap().to_vec())
-            }
-        })
-        .unwrap();
-        assert!(
-            tables.tables[2].direct_parts().unwrap().1.len() >= PREFETCH_MIN_SLOTS,
-            "fixture must clear the prefetch threshold"
-        );
-        let block = block_of(&data, &scan_schema, &cols);
-
-        let (acc_on, on) = vec_probe_opts(&block, &plan, &tables, KernelOpts::all_on());
-        assert!(on.prefetch_activations > 0, "gate open: counter must fire");
-        let (acc_off, off) = vec_probe_opts(
-            &block,
-            &plan,
-            &tables,
-            KernelOpts {
-                prefetch: false,
-                ..KernelOpts::all_on()
-            },
-        );
-        assert_eq!(off.prefetch_activations, 0);
-        // Prefetching changes memory timing only: identical results and
-        // identical semantic stats (the manual PartialEq ignores the
-        // activation counter by design).
-        assert_eq!(acc_on, acc_off);
-        assert_eq!(on, off);
-
-        let mut acc_scalar = FxHashMap::default();
-        let mut scalar = ProbeStats::default();
-        probe_block(&block, &plan, &tables, &mut acc_scalar, &mut scalar).unwrap();
-        assert_eq!(
-            scalar.prefetch_activations, 0,
-            "scalar path never prefetches"
-        );
-        assert_eq!(on, scalar);
-        assert_eq!(acc_on, acc_scalar);
-
-        // At the committed bench scale the gate stays closed (ROADMAP PR-5
-        // follow-up): the same query on real SF 0.005 dimensions never fires.
-        let small = DimTables::build_all(&q.joins, |dim| Ok(data.dimension(dim).unwrap().to_vec()))
-            .unwrap();
-        let (_, st) = vec_probe_opts(&block, &plan, &small, KernelOpts::all_on());
-        assert_eq!(st.prefetch_activations, 0);
-    }
-
     /// Run the vectorized kernel and rematerialize its packed groups.
     fn vec_probe(
         block: &RowBlock,
         plan: &ProbePlan,
         tables: &DimTables,
     ) -> (FxHashMap<Row, i64>, ProbeStats) {
-        vec_probe_opts(block, plan, tables, KernelOpts::all_on())
-    }
-
-    fn vec_probe_opts(
-        block: &RowBlock,
-        plan: &ProbePlan,
-        tables: &DimTables,
-        opts: KernelOpts,
-    ) -> (FxHashMap<Row, i64>, ProbeStats) {
         let layout = GroupLayout::new(plan, tables).expect("key fits");
         let mut acc = GroupAcc::new(&layout, &plan.aggregate);
         let mut buf = SelBuf::default();
         let mut stats = ProbeStats::default();
         probe_block_vec(
-            block, plan, tables, &layout, &mut acc, &mut buf, &mut stats, opts,
+            block,
+            plan,
+            tables,
+            &layout,
+            &mut acc,
+            &mut buf,
+            &mut stats,
+            KernelOpts::all_on(),
         )
         .unwrap();
         // Distinct dimension rows can share aux values (e.g. 365 dates per
@@ -1303,8 +1087,8 @@ mod tests {
 
     #[test]
     fn every_kernel_opts_combination_matches_scalar() {
-        // The optimization layers are pure implementation choices: all 8
-        // flag combinations must produce the scalar kernel's aggregates
+        // The optimization layers are pure implementation choices: every
+        // flag combination must produce the scalar kernel's aggregates
         // and exact counters, on both a predicate-free (Q2.1) and a
         // predicate-heavy (Q1.1) shape, over odd block boundaries.
         let data = SsbGen::new(0.005, 46).gen_all();
@@ -1359,68 +1143,6 @@ mod tests {
                 assert_eq!(st, st_scalar, "{qid} {opts:?} counters diverge");
             }
         }
-    }
-
-    #[test]
-    fn zone_fullcover_skips_disjoint_and_covered_blocks() {
-        // A block entirely outside a predicate's range is rejected with
-        // zero probes; one entirely inside skips predicate work but still
-        // probes every row — and both behave exactly like the scalar loop.
-        let data = SsbGen::new(0.005, 46).gen_all();
-        let mut q = query_by_id("Q2.1").unwrap();
-        // Add a quantity predicate so Q2.1 gains a zone-checkable column.
-        q.fact_preds.push(clyde_ssb::queries::FactPred::I32Between {
-            column: "lo_quantity".into(),
-            lo: 1,
-            hi: 50,
-        });
-        let fact_schema = schema::lineorder_schema();
-        let cols: Vec<usize> = q
-            .fact_columns()
-            .iter()
-            .map(|c| fact_schema.index_of(c).unwrap())
-            .collect();
-        let scan_schema = fact_schema.project(&cols);
-        let plan = ProbePlan::compile(&q, &scan_schema).unwrap();
-        let tables =
-            DimTables::build_all(&q.joins, |dim| Ok(data.dimension(dim).unwrap().to_vec()))
-                .unwrap();
-        let block = block_of(&data, &scan_schema, &cols);
-        // lo_quantity spans 1..=50, so [1, 50] fully covers every block and
-        // [100, 200] is disjoint from every block.
-        let opts = KernelOpts::all_on();
-        let layout = GroupLayout::new(&plan, &tables).unwrap();
-        let run = |plan: &ProbePlan, opts: KernelOpts| {
-            let mut acc = GroupAcc::new(&layout, &plan.aggregate);
-            let mut buf = SelBuf::default();
-            let mut st = ProbeStats::default();
-            probe_block_vec(
-                &block, plan, &tables, &layout, &mut acc, &mut buf, &mut st, opts,
-            )
-            .unwrap();
-            (acc.entries().len(), st)
-        };
-        let (groups_on, st_on) = run(&plan, opts);
-        let (groups_off, st_off) = run(&plan, KernelOpts::none());
-        assert_eq!(groups_on, groups_off);
-        assert_eq!(st_on, st_off, "covered block must still probe everything");
-        assert!(st_on.probes > 0);
-
-        let mut disjoint = plan.clone();
-        disjoint.fact_preds = vec![clyde_ssb::queries::CompiledFactPred::Between {
-            col: plan.fact_preds[0].col(),
-            lo: 100,
-            hi: 200,
-        }];
-        let (groups_dis, st_dis) = run(&disjoint, opts);
-        assert_eq!(groups_dis, 0);
-        assert_eq!(st_dis.probes, 0, "disjoint block must not probe");
-        assert_eq!(st_dis.rows, block.len() as u64);
-        // The scalar kernel agrees on the disjoint shape.
-        let mut acc = FxHashMap::default();
-        let mut st_scalar = ProbeStats::default();
-        probe_block(&block, &disjoint, &tables, &mut acc, &mut st_scalar).unwrap();
-        assert_eq!(st_dis, st_scalar);
     }
 
     /// Codegen smoke check (x86_64): the branch-free predicate lanes of

@@ -520,7 +520,7 @@ mod tests {
 
     #[test]
     fn d005_accepts_registered_names_and_wrapped_calls() {
-        let src = "fn f(m: &Metrics) {\n    m.counter_add(\"mapred.jobs\", 1);\n    m.gauge_set(\"scheduler.split_locality\", 0.5);\n    m.histogram_record(\n        \"dfs.scan.local_bytes\",\n        2.0,\n    );\n    m.counter_add(\"probe.prefetch_activations\", 1);\n}\n";
+        let src = "fn f(m: &Metrics) {\n    m.counter_add(\"mapred.jobs\", 1);\n    m.gauge_set(\"scheduler.split_locality\", 0.5);\n    m.histogram_record(\n        \"dfs.scan.local_bytes\",\n        2.0,\n    );\n    m.counter_add(\"probe.survivors\", 1);\n}\n";
         assert!(scan(src).is_empty());
     }
 

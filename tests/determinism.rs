@@ -14,7 +14,7 @@ use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
 use clyde_ssb::gen::SsbGen;
 use clyde_ssb::loader::{self, SsbLayout};
 use clyde_ssb::query_by_id;
-use clydesdale::Clydesdale;
+use clydesdale::{Clydesdale, Features};
 use std::sync::Arc;
 
 /// The byte-comparable artifacts of one full Q2.1 execution.
@@ -29,7 +29,7 @@ struct Artifacts {
 /// One full Q2.1 execution on a fresh cluster; returns the deterministic
 /// artifacts (result bytes, chrome trace, wall-free metrics rendering,
 /// profile bundle, collapsed flamegraph).
-fn run_q21(host_threads: Option<u32>) -> Artifacts {
+fn run_q21(features: Features, host_threads: Option<u32>) -> Artifacts {
     let dfs = Dfs::new(
         ClusterSpec::tiny(3),
         DfsOptions {
@@ -53,7 +53,8 @@ fn run_q21(host_threads: Option<u32>) -> Artifacts {
     )
     .unwrap();
     let obs = Obs::enabled();
-    let mut clyde = Clydesdale::new(Arc::clone(&dfs), layout).with_obs(Arc::clone(&obs));
+    let mut clyde =
+        Clydesdale::with_features(Arc::clone(&dfs), layout, features).with_obs(Arc::clone(&obs));
     if let Some(t) = host_threads {
         clyde = clyde.with_host_threads(t);
     }
@@ -79,14 +80,14 @@ fn run_q21(host_threads: Option<u32>) -> Artifacts {
 
 #[test]
 fn q21_invariant_across_host_thread_counts() {
-    let a = run_q21(None);
+    let a = run_q21(Features::default(), None);
     assert!(!a.rows.is_empty());
     assert!(a.trace.contains("traceEvents"));
     assert!(a.metrics.contains("mapred.map_tasks"));
     assert!(a.profile_json.contains("\"format\":\"clyde-profiles\""));
     assert!(a.flamegraph.contains("map"));
     for t in [1u32, 2, 8] {
-        let b = run_q21(Some(t));
+        let b = run_q21(Features::default(), Some(t));
         assert_eq!(
             a.rows, b.rows,
             "results must not depend on host threads ({t})"
@@ -115,27 +116,31 @@ fn q21_invariant_across_host_thread_counts() {
 /// sorts them before folding), so the fold sequence is a function of the
 /// input alone, never of thread scheduling. One host thread *is* input
 /// order; odd thread counts tile the morsels unevenly and would expose any
-/// schedule-order merge. Byte-compare them.
+/// schedule-order merge. Byte-compare them, for block morsels and for the
+/// whole-part row morsels of the block-iteration ablation.
 #[test]
 fn merge_order_is_input_order_not_schedule_order() {
-    let reference = run_q21(Some(1));
-    for t in [3u32, 5, 13] {
-        let b = run_q21(Some(t));
-        assert_eq!(
-            reference.rows, b.rows,
-            "merge order leaked into results at {t} threads"
-        );
-        assert_eq!(
-            reference.profile_json, b.profile_json,
-            "merge order leaked into profiles at {t} threads"
-        );
+    for features in [Features::default(), Features::without_block_iteration()] {
+        let label = features.label();
+        let reference = run_q21(features, Some(1));
+        for t in [3u32, 5, 13] {
+            let b = run_q21(features, Some(t));
+            assert_eq!(
+                reference.rows, b.rows,
+                "{label}: merge order leaked into results at {t} threads"
+            );
+            assert_eq!(
+                reference.profile_json, b.profile_json,
+                "{label}: merge order leaked into profiles at {t} threads"
+            );
+        }
     }
 }
 
 #[test]
 fn q21_dual_run_is_byte_identical() {
-    let first = run_q21(None);
-    let second = run_q21(None);
+    let first = run_q21(Features::default(), None);
+    let second = run_q21(Features::default(), None);
     assert_eq!(first.rows, second.rows, "result rows");
     assert_eq!(first.trace, second.trace, "chrome trace");
     assert_eq!(first.metrics, second.metrics, "metric snapshot");
