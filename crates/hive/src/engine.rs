@@ -136,16 +136,11 @@ impl Hive {
                 .with_columns(scan_cols),
         );
 
-        let mut stages: Vec<StageReport> = Vec::new();
-        // Result-cache lineage: each stage's fingerprint seeds the next
-        // stage's identity, so chained stages stay cacheable even though
-        // their physical inputs live in this run's unique tmp directory.
-        // The base stage fingerprints its real (fact/dimension) splits, so
-        // fact roll-in/roll-out re-keys the whole chain. Known limitation:
-        // mapjoin dimension tables ride the distributed cache, not splits,
-        // so editing a dimension file in place is not detected — dimension
-        // data is immutable in this workload.
-        let mut lineage: Option<u64> = None;
+        let mut chain = Chain {
+            engine: &self.engine,
+            lineage: None,
+            stages: Vec::new(),
+        };
 
         // --- One join stage per dimension, in query order. ---
         for (i, join) in query.joins.iter().enumerate() {
@@ -173,10 +168,7 @@ impl Hive {
                         input_schema: cur_schema.clone(),
                         table_mem_bytes: mem,
                     };
-                    let mut spec =
-                        JobSpec::new(stage_name, Arc::clone(&cur_input), Arc::new(runner));
-                    spec.output = OutputSpec::DfsDir(out_dir.clone());
-                    spec.reuse_jvm = false;
+                    let spec = JobSpec::new(stage_name, Arc::clone(&cur_input), Arc::new(runner));
                     (spec, client)
                 }
                 JoinStrategy::Repartition => {
@@ -220,35 +212,20 @@ impl Hive {
                     );
                     spec.reducer = Some(Arc::new(RepartitionReducer));
                     spec.num_reducers = cluster.total_reduce_slots().max(1) as usize;
-                    spec.output = OutputSpec::DfsDir(out_dir.clone());
-                    spec.reuse_jvm = false;
                     (spec, ClientArtifacts::default())
                 }
             };
-            spec.code_token = format!(
+            spec.output = OutputSpec::DfsDir(out_dir.clone());
+            let token = format!(
                 "hive:{}:{}:join{}:{}:v1",
                 query.id,
                 self.strategy.label(),
                 i,
                 join.dimension
             );
-            spec.lineage = lineage;
-            let result = self.engine.run_job_with(&spec, client)?;
-            lineage = result.fingerprint;
-            // On a cache hit the run-scoped out_dir was never written; the
-            // next stage reads the persisted files straight from the cache.
-            let next_dir = if result.served_from_cache {
-                dir_of(&result.output_files).unwrap_or(out_dir)
-            } else {
-                out_dir
-            };
-            stages.push(StageReport {
-                name: spec.name.clone(),
-                profile: result.profile,
-                cost: result.cost,
-            });
+            let (_, next_dir) = chain.run_stage(spec, client, token)?;
             cur_schema = joined_schema(&cur_schema, join)?;
-            cur_input = Arc::new(RowBinInputFormat::new(next_dir));
+            cur_input = Arc::new(RowBinInputFormat::new(next_dir.unwrap_or(out_dir)));
         }
 
         // --- Group-by stage. ---
@@ -278,54 +255,75 @@ impl Hive {
         }));
         gb.num_reducers = cluster.total_reduce_slots().max(1) as usize;
         gb.output = OutputSpec::DfsDir(gb_dir.clone());
-        gb.reuse_jvm = false;
-        gb.code_token = format!("hive:{}:{}:groupby:v1", query.id, self.strategy.label());
-        gb.lineage = lineage;
-        let result = self.engine.run_job(&gb)?;
-        lineage = result.fingerprint;
-        let ob_input_dir = if result.served_from_cache {
-            dir_of(&result.output_files).unwrap_or(gb_dir)
-        } else {
-            gb_dir
-        };
-        stages.push(StageReport {
-            name: gb.name.clone(),
-            profile: result.profile,
-            cost: result.cost,
-        });
+        let token = format!("hive:{}:{}:groupby:v1", query.id, self.strategy.label());
+        let (_, ob_input_dir) = chain.run_stage(gb, ClientArtifacts::default(), token)?;
 
         // --- Order-by stage (single reducer → total order). ---
         let ob_mapper = OrderByMapper::for_query(query)?;
         let mut ob = JobSpec::new(
             format!("hive-{}-orderby", query.id),
-            Arc::new(RowBinInputFormat::new(ob_input_dir)),
+            Arc::new(RowBinInputFormat::new(ob_input_dir.unwrap_or(gb_dir))),
             Arc::new(RowMapRunner::new(ob_mapper)),
         );
         ob.reducer = Some(Arc::new(EmitValues));
         ob.num_reducers = 1;
         ob.output = OutputSpec::Memory;
-        ob.reuse_jvm = false;
-        ob.code_token = format!("hive:{}:{}:orderby:v1", query.id, self.strategy.label());
-        ob.lineage = lineage;
-        let result = self.engine.run_job(&ob)?;
-        let mut rows = result.rows;
+        let token = format!("hive:{}:{}:orderby:v1", query.id, self.strategy.label());
+        let (mut rows, _) = chain.run_stage(ob, ClientArtifacts::default(), token)?;
         // LIMIT is applied after the total-order stage (Hive's "LIMIT n"
         // also collapses onto the single order-by reducer).
         if let Some(l) = query.limit {
             rows.truncate(l);
         }
-        stages.push(StageReport {
-            name: ob.name.clone(),
-            profile: result.profile,
-            cost: result.cost,
-        });
 
         // --- Clean up intermediates (Hive deletes scratch dirs too). ---
         for path in self.engine.dfs().list(&format!("{tmp}/")) {
             self.engine.dfs().delete(&path)?;
         }
 
-        Ok(HiveResult { rows, stages })
+        Ok(HiveResult {
+            rows,
+            stages: chain.stages,
+        })
+    }
+}
+
+/// One query's stage chain. Result-cache lineage: each stage's fingerprint
+/// seeds the next stage's identity, so chained stages stay cacheable even
+/// though their physical inputs live in this run's unique tmp directory.
+/// The base stage fingerprints its real (fact/dimension) splits, so fact
+/// roll-in/roll-out re-keys the whole chain. Known limitation: mapjoin
+/// dimension tables ride the distributed cache, not splits, so editing a
+/// dimension file in place is not detected — dimension data is immutable in
+/// this workload.
+struct Chain<'a> {
+    engine: &'a Engine,
+    lineage: Option<u64>,
+    stages: Vec<StageReport>,
+}
+
+impl Chain<'_> {
+    /// Run the next stage under its code token and the chain's lineage, with
+    /// a fresh JVM per task as Hive runs it, and record its report. Returns the stage's rows and the directory holding its output files:
+    /// the stage's own output directory, or on a cache hit the cache
+    /// directory that served it (the run-scoped one was never written).
+    fn run_stage(
+        &mut self,
+        mut spec: JobSpec,
+        client: ClientArtifacts,
+        code_token: String,
+    ) -> Result<(Vec<Row>, Option<String>)> {
+        spec.code_token = code_token;
+        spec.lineage = self.lineage;
+        spec.reuse_jvm = false;
+        let result = self.engine.run_job_with(&spec, client)?;
+        self.lineage = result.fingerprint;
+        self.stages.push(StageReport {
+            name: spec.name,
+            profile: result.profile,
+            cost: result.cost,
+        });
+        Ok((result.rows, dir_of(&result.output_files)))
     }
 }
 

@@ -665,10 +665,18 @@ mod tests {
 
     #[test]
     fn d007_fn_scoped_files_only_audit_named_fns() {
-        let src = "impl E {\n    fn run_job_inner(&self) { self.x.unwrap(); }\n    fn helper(&self) { self.x.unwrap(); }\n}\n";
-        let vs = scan_source(Path::new("crates/mapred/src/engine.rs"), src);
+        let src = "impl S {\n    fn submit(&self) { self.x.unwrap(); }\n    fn helper(&self) { self.x.unwrap(); }\n}\n";
+        let vs = scan_source(Path::new("crates/mapred/src/server.rs"), src);
         assert_eq!(vs.len(), 1, "{vs:?}");
         assert_eq!(vs[0].rule, Rule::PanicFree);
+    }
+
+    #[test]
+    fn d007_audits_every_engine_stage() {
+        let src = "impl E {\n    fn map_stage(&self) { self.x.unwrap(); }\n    fn helper(&self) -> u8 { self.v[0] }\n}\n";
+        let vs = scan_source(Path::new("crates/mapred/src/engine.rs"), src);
+        assert_eq!(vs.len(), 2, "{vs:?}");
+        assert!(vs.iter().all(|v| v.rule == Rule::PanicFree));
     }
 
     #[test]

@@ -29,11 +29,9 @@ pub const D007_RECOVERY: &[(&str, &[&str])] = &[
     ("crates/dfs/src/datanode.rs", &[]),
     // Namespace-level re-replication after a node loss.
     ("crates/dfs/src/dfs.rs", &["rereplicate"]),
-    // Speculative commit, retry placement, and injected-failure paths.
-    (
-        "crates/mapred/src/engine.rs",
-        &["run_job_inner", "retry_node", "injected_failure"],
-    ),
+    // The job engine: every stage runs on the recovery path (attempts,
+    // retries, speculative commit, cache reuse and output commit).
+    ("crates/mapred/src/engine.rs", &[]),
     // Admission control: must reject, never abort, under overload.
     ("crates/mapred/src/server.rs", &["submit", "drain"]),
 ];

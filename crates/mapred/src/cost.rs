@@ -213,6 +213,45 @@ impl CostParams {
         CostParams::default()
     }
 
+    /// The priced terms of one map task when `concurrency` tasks of this
+    /// job share the node: the one formula both the duration and the phase
+    /// slices are derived from.
+    fn map_terms(&self, cluster: &ClusterSpec, cost: &TaskCost, concurrency: u32) -> MapTerms {
+        let c = f64::from(concurrency.max(1));
+        let threads = f64::from(cost.threads.max(1)) * cluster.node.cpu_factor;
+        let cpu_f = cluster.node.cpu_factor;
+        let read_bw = self.hdfs.effective_read_bw(&cluster.node) / c;
+        let net_bw = cluster.network_bw / c;
+        let write_bw = self
+            .hdfs
+            .effective_write_bw(&cluster.node, 3, cluster.network_bw)
+            / c;
+        MapTerms {
+            overhead: self.task_overhead_s,
+            load: cost.state_load_bytes as f64 / (self.state_deser_bw * cpu_f),
+            build: cost.build_rows as f64 / (self.build_rows_per_s * cpu_f),
+            io_read: cost.local_bytes as f64 / read_bw + cost.remote_bytes as f64 / net_bw,
+            probe_cpu: cost.deser_rows as f64 / (self.framework_rows_per_s * cpu_f)
+                + cost.block_rows as f64 / (self.block_rows_per_s * threads)
+                + cost.rowiter_rows as f64 / (self.rowiter_rows_per_s * threads)
+                + cost.probe_rows as f64 / (self.probe_rows_per_s * threads),
+            emit_cpu: cost.emit_records as f64 / (self.sort_records_per_s * cpu_f),
+            write: cost.output_bytes as f64 / write_bw,
+        }
+    }
+
+    /// The priced terms of one reduce task.
+    fn reduce_terms(&self, cluster: &ClusterSpec, cost: &TaskCost) -> ReduceTerms {
+        let write_bw = self
+            .hdfs
+            .effective_write_bw(&cluster.node, 3, cluster.network_bw);
+        ReduceTerms {
+            overhead: self.task_overhead_s,
+            cpu: cost.deser_rows as f64 / (self.reduce_rows_per_s * cluster.node.cpu_factor),
+            write: cost.output_bytes as f64 / write_bw,
+        }
+    }
+
     /// Duration of one **map** task, seconds, when `concurrency` tasks of
     /// this job share the node.
     ///
@@ -224,37 +263,14 @@ impl CostParams {
         cost: &TaskCost,
         concurrency: u32,
     ) -> f64 {
-        let c = f64::from(concurrency.max(1));
-        let threads = f64::from(cost.threads.max(1)) * cluster.node.cpu_factor;
-        let cpu_f = cluster.node.cpu_factor;
-        let read_bw = self.hdfs.effective_read_bw(&cluster.node) / c;
-        let net_bw = cluster.network_bw / c;
-        let write_bw = self
-            .hdfs
-            .effective_write_bw(&cluster.node, 3, cluster.network_bw)
-            / c;
-
-        let io_read = cost.local_bytes as f64 / read_bw + cost.remote_bytes as f64 / net_bw;
-        let cpu = cost.deser_rows as f64 / (self.framework_rows_per_s * cpu_f)
-            + cost.block_rows as f64 / (self.block_rows_per_s * threads)
-            + cost.rowiter_rows as f64 / (self.rowiter_rows_per_s * threads)
-            + cost.probe_rows as f64 / (self.probe_rows_per_s * threads)
-            + cost.emit_records as f64 / (self.sort_records_per_s * cpu_f);
-        let build = cost.build_rows as f64 / (self.build_rows_per_s * cpu_f);
-        let load = cost.state_load_bytes as f64 / (self.state_deser_bw * cpu_f);
-        let write = cost.output_bytes as f64 / write_bw;
-
-        self.task_overhead_s + load + build + io_read.max(cpu) + write
+        let m = self.map_terms(cluster, cost, concurrency);
+        m.overhead + m.load + m.build + m.overlap() + m.write
     }
 
     /// Duration of one **reduce** task, seconds.
     pub fn reduce_task_duration(&self, cluster: &ClusterSpec, cost: &TaskCost) -> f64 {
-        let write_bw = self
-            .hdfs
-            .effective_write_bw(&cluster.node, 3, cluster.network_bw);
-        let cpu = cost.deser_rows as f64 / (self.reduce_rows_per_s * cluster.node.cpu_factor);
-        let write = cost.output_bytes as f64 / write_bw;
-        self.task_overhead_s + cpu + write
+        let r = self.reduce_terms(cluster, cost);
+        r.overhead + r.cpu + r.write
     }
 
     /// Decompose [`Self::map_task_duration`] into phase intervals. Starts are
@@ -270,136 +286,102 @@ impl CostParams {
         cost: &TaskCost,
         concurrency: u32,
     ) -> Vec<PhaseSlice> {
-        let c = f64::from(concurrency.max(1));
-        let threads = f64::from(cost.threads.max(1)) * cluster.node.cpu_factor;
-        let cpu_f = cluster.node.cpu_factor;
-        let read_bw = self.hdfs.effective_read_bw(&cluster.node) / c;
-        let net_bw = cluster.network_bw / c;
-        let write_bw = self
-            .hdfs
-            .effective_write_bw(&cluster.node, 3, cluster.network_bw)
-            / c;
-
-        let io_read = cost.local_bytes as f64 / read_bw + cost.remote_bytes as f64 / net_bw;
-        let probe_cpu = cost.deser_rows as f64 / (self.framework_rows_per_s * cpu_f)
-            + cost.block_rows as f64 / (self.block_rows_per_s * threads)
-            + cost.rowiter_rows as f64 / (self.rowiter_rows_per_s * threads)
-            + cost.probe_rows as f64 / (self.probe_rows_per_s * threads);
-        let emit_cpu = cost.emit_records as f64 / (self.sort_records_per_s * cpu_f);
-        let build = cost.build_rows as f64 / (self.build_rows_per_s * cpu_f);
-        let load = cost.state_load_bytes as f64 / (self.state_deser_bw * cpu_f);
-        let write = cost.output_bytes as f64 / write_bw;
-
-        let mut phases = Vec::new();
-        let mut t = 0.0;
-        let push = |phases: &mut Vec<PhaseSlice>,
-                    phase: Phase,
-                    start: f64,
-                    dur: f64,
-                    note: Option<String>| {
-            if dur > 0.0 {
-                phases.push(PhaseSlice {
-                    phase,
-                    start_s: start,
-                    dur_s: dur,
-                    note,
-                });
-            }
-        };
-        push(&mut phases, Phase::Setup, t, self.task_overhead_s, None);
-        t += self.task_overhead_s;
-        push(
-            &mut phases,
-            Phase::StateLoad,
-            t,
-            load,
-            Some(format!("{} bytes", cost.state_load_bytes)),
-        );
-        t += load;
-        push(
-            &mut phases,
-            Phase::HashBuild,
-            t,
-            build,
-            Some(format!("{} rows", cost.build_rows)),
-        );
-        t += build;
-        push(
-            &mut phases,
-            Phase::Scan,
-            t,
-            io_read,
-            Some(format!(
-                "{} local + {} remote bytes",
-                cost.local_bytes, cost.remote_bytes
-            )),
-        );
-        push(
-            &mut phases,
-            Phase::Probe,
-            t,
-            probe_cpu,
-            Some(format!(
-                "{} probes, {} block rows",
-                cost.probe_rows, cost.block_rows
-            )),
-        );
-        push(
-            &mut phases,
-            Phase::Emit,
-            t + probe_cpu,
-            emit_cpu,
-            Some(format!(
-                "{} records, {} bytes",
-                cost.emit_records, cost.emit_bytes
-            )),
-        );
-        t += io_read.max(probe_cpu + emit_cpu);
-        push(
-            &mut phases,
-            Phase::Write,
-            t,
-            write,
-            Some(format!("{} bytes", cost.output_bytes)),
-        );
-        phases
+        let m = self.map_terms(cluster, cost, concurrency);
+        // Starts accumulate in the duration formula's order, so the Write
+        // slice ends bit-exactly at `map_task_duration`.
+        let load_at = m.overhead;
+        let build_at = load_at + m.load;
+        let scan_at = build_at + m.build;
+        let write_at = scan_at + m.overlap();
+        let loaded = bytes(cost.state_load_bytes);
+        let built = Some(format!("{} rows", cost.build_rows));
+        let (local, remote) = (cost.local_bytes, cost.remote_bytes);
+        let scanned = Some(format!("{local} local + {remote} remote bytes"));
+        let (probes, rows) = (cost.probe_rows, cost.block_rows);
+        let probed = Some(format!("{probes} probes, {rows} block rows"));
+        let (records, emitted) = (cost.emit_records, cost.emit_bytes);
+        let emitted = Some(format!("{records} records, {emitted} bytes"));
+        [
+            slice(Phase::Setup, 0.0, m.overhead, None),
+            slice(Phase::StateLoad, load_at, m.load, loaded),
+            slice(Phase::HashBuild, build_at, m.build, built),
+            slice(Phase::Scan, scan_at, m.io_read, scanned),
+            slice(Phase::Probe, scan_at, m.probe_cpu, probed),
+            slice(Phase::Emit, scan_at + m.probe_cpu, m.emit_cpu, emitted),
+            slice(Phase::Write, write_at, m.write, bytes(cost.output_bytes)),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
     }
 
     /// Decompose [`Self::reduce_task_duration`] into phase intervals
-    /// (relative starts), mirroring the pricing formula exactly.
+    /// (relative starts), mirroring the pricing formula exactly. Setup is
+    /// laid out even when free.
     pub fn reduce_task_phases(&self, cluster: &ClusterSpec, cost: &TaskCost) -> Vec<PhaseSlice> {
-        let write_bw = self
-            .hdfs
-            .effective_write_bw(&cluster.node, 3, cluster.network_bw);
-        let cpu = cost.deser_rows as f64 / (self.reduce_rows_per_s * cluster.node.cpu_factor);
-        let write = cost.output_bytes as f64 / write_bw;
-        let mut phases = vec![PhaseSlice {
+        let r = self.reduce_terms(cluster, cost);
+        let setup = PhaseSlice {
             phase: Phase::Setup,
             start_s: 0.0,
-            dur_s: self.task_overhead_s,
+            dur_s: r.overhead,
             note: None,
-        }];
-        if cpu > 0.0 {
-            phases.push(PhaseSlice {
-                phase: Phase::Reduce,
-                start_s: self.task_overhead_s,
-                dur_s: cpu,
-                note: Some(format!(
-                    "{} records, {} runs merged",
-                    cost.deser_rows, cost.merge_runs
-                )),
-            });
-        }
-        if write > 0.0 {
-            phases.push(PhaseSlice {
-                phase: Phase::Write,
-                start_s: self.task_overhead_s + cpu,
-                dur_s: write,
-                note: Some(format!("{} bytes", cost.output_bytes)),
-            });
-        }
-        phases
+        };
+        let (records, runs) = (cost.deser_rows, cost.merge_runs);
+        let merged = Some(format!("{records} records, {runs} runs merged"));
+        let written = bytes(cost.output_bytes);
+        [
+            Some(setup),
+            slice(Phase::Reduce, r.overhead, r.cpu, merged),
+            slice(Phase::Write, r.overhead + r.cpu, r.write, written),
+        ]
+        .into_iter()
+        .flatten()
+        .collect()
     }
+}
+
+/// A priced phase interval; none when the phase costs nothing.
+fn slice(phase: Phase, start_s: f64, dur_s: f64, note: Option<String>) -> Option<PhaseSlice> {
+    (dur_s > 0.0).then_some(PhaseSlice {
+        phase,
+        start_s,
+        dur_s,
+        note,
+    })
+}
+
+/// The note of a phase that moves `n` bytes.
+fn bytes(n: u64) -> Option<String> {
+    Some(format!("{n} bytes"))
+}
+
+/// One map task's priced terms, seconds. Summed in field order — overhead,
+/// load, build, `max(io_read, cpu)`, write — with the cpu pipeline summed
+/// probe side first, then emit.
+struct MapTerms {
+    overhead: f64,
+    load: f64,
+    build: f64,
+    io_read: f64,
+    /// Framework deserialization, block iteration, row iteration and probe.
+    probe_cpu: f64,
+    /// Map-side sort/spill of emitted records.
+    emit_cpu: f64,
+    write: f64,
+}
+
+impl MapTerms {
+    /// The overlapped scan/CPU window.
+    fn overlap(&self) -> f64 {
+        self.io_read.max(self.probe_cpu + self.emit_cpu)
+    }
+}
+
+/// One reduce task's priced terms, seconds, summed in field order.
+struct ReduceTerms {
+    overhead: f64,
+    cpu: f64,
+    write: f64,
 }
 
 /// Simulated time breakdown of one job (one MapReduce stage).

@@ -13,6 +13,13 @@
 //! failures are not retried: exhausting a deterministic resource model would
 //! fail identically everywhere (and this is how the paper's cluster-A
 //! mapjoin queries "did not complete").
+//!
+//! Every job runs through named stages: **resolve** (fault-plan corruption,
+//! splits, fingerprint) → **reuse** (result-cache lookup; a hit skips to
+//! commit) → **map** (first wave, heartbeat barrier, retry wave,
+//! speculation — all launching work through one `MapTaskEnv::attempt`) →
+//! **shuffle/reduce** → **commit** (`Commit`: the one place that knows where
+//! output goes, and the finish step computed and cache-served jobs share).
 
 use crate::cost::{CostParams, TaskCost};
 use crate::distcache::DistCache;
@@ -21,7 +28,7 @@ use crate::history;
 use crate::input::{InputSplit, SplitSpec};
 use crate::job::{JobProfile, JobResult, JobSpec, KilledAttempt, OutputSpec, TaskProfile};
 use crate::scheduler;
-use crate::shuffle;
+use crate::shuffle::{self, Reducer};
 use crate::task::{
     MapOutputBuffer, MapTaskContext, MemoryLedger, MemoryTracker, NodeState, TaskIo,
 };
@@ -29,7 +36,7 @@ use clyde_common::lockorder::Mutex;
 use clyde_common::obs::{Obs, Phase, SpanKind, TaskKind, WallTimer};
 use clyde_common::{keycodec, rowcodec, ClydeError, Result, Row};
 use clyde_dfs::IoScope;
-use clyde_dfs::{CacheEntry, ClusterSpec, Dfs, IoSnapshot, NodeId, NodeLocalStore};
+use clyde_dfs::{CacheEntry, Dfs, IoSnapshot, NodeId, NodeLocalStore};
 use std::sync::Arc;
 
 /// A node is blacklisted for further retries once this many of its attempts
@@ -47,12 +54,141 @@ pub struct ClientArtifacts {
     pub build_rows: u64,
 }
 
-/// Output of one executed map task, waiting for the shuffle.
+/// The resolve stage's hand-off: the job and where its output goes, what
+/// it reads and, when it is cacheable, its canonical fingerprint.
+struct Resolved<'a> {
+    commit: Commit<'a>,
+    splits: Vec<InputSplit>,
+    fingerprint: Option<u64>,
+}
+
+/// Output committed so far: rows for [`OutputSpec::Memory`], part files for
+/// [`OutputSpec::DfsDir`].
+#[derive(Default)]
+struct Committed {
+    rows: Vec<Row>,
+    files: Vec<String>,
+}
+
+/// The commit stage: the one place that knows where a job's output goes.
+#[derive(Clone, Copy)]
+struct Commit<'a> {
+    dfs: &'a Arc<Dfs>,
+    spec: &'a JobSpec,
+}
+
+impl Commit<'_> {
+    /// Commit one task's rows as output part `part-{kind}-{index:05}`: kept
+    /// in memory, or written to the output directory. A written part
+    /// supersedes any earlier attempt's file — an attempt may die between
+    /// writing its part and reporting success.
+    fn part(
+        &self,
+        kind: char,
+        index: usize,
+        rows: Vec<Row>,
+        cost: &mut TaskCost,
+        into: &mut Committed,
+    ) -> Result<()> {
+        match &self.spec.output {
+            OutputSpec::Memory => into.rows.extend(rows),
+            OutputSpec::DfsDir(dir) => {
+                let path = format!("{dir}/part-{kind}-{index:05}");
+                if self.dfs.exists(&path) {
+                    self.dfs.delete(&path)?;
+                }
+                let payload = rowcodec::write_rows(&rows);
+                cost.output_bytes += payload.len() as u64;
+                self.dfs.write_file(&path, None, &payload)?;
+                into.files.push(path);
+            }
+        }
+        Ok(())
+    }
+
+    /// Materialize a cache hit: read the persisted rows back (memory jobs)
+    /// or point downstream readers at the cached files (DFS-dir jobs —
+    /// metadata only, nothing is copied or re-executed).
+    fn serve(&self, entry: &CacheEntry) -> Result<Committed> {
+        let mut out = Committed::default();
+        match &self.spec.output {
+            OutputSpec::Memory => {
+                // Each cached file is its own row-binary stream; decode
+                // per-file (a concatenation is not a valid single stream).
+                for p in &entry.output_paths {
+                    let bytes = self.dfs.read_file(p, None)?;
+                    out.rows.extend(rowcodec::read_rows(&bytes)?);
+                }
+            }
+            OutputSpec::DfsDir(_) => out.files = entry.output_paths.clone(),
+        }
+        Ok(out)
+    }
+
+    /// Persist a finished job's output into the result cache. The catalog
+    /// admits (or refuses) the entry first — evicting LRU entries and
+    /// deleting their backing files — and only an admitted entry's bytes are
+    /// written under `/cache/{fingerprint}/`.
+    fn fill(&self, fp: u64, splits: &[InputSplit], out: &Committed) -> Result<()> {
+        let dir = format!("/cache/{fp:016x}");
+        // Lineage-fingerprinted stages record no input paths: their inputs
+        // are per-run tmp files, and coherence rides the fingerprint chain
+        // (a base-stage change re-fingerprints every downstream stage).
+        let input_paths = if self.spec.lineage.is_some() {
+            Vec::new()
+        } else {
+            crate::fingerprint::input_paths(splits)
+        };
+        let mut entry = CacheEntry {
+            fingerprint: fp,
+            output_paths: Vec::new(),
+            bytes: 0,
+            memory_rows: None,
+            input_paths,
+            last_used: 0,
+            pinned: false,
+        };
+        match &self.spec.output {
+            OutputSpec::Memory => {
+                let payload = rowcodec::write_rows(&out.rows);
+                let path = format!("{dir}/rows.bin");
+                entry.output_paths.push(path.clone());
+                entry.bytes = payload.len() as u64;
+                entry.memory_rows = Some(out.rows.len() as u64);
+                if self.dfs.cache_insert(entry)? {
+                    self.dfs.write_file(&path, None, &payload)?;
+                }
+            }
+            OutputSpec::DfsDir(_) => {
+                for src in &out.files {
+                    let name = src.rsplit('/').next().unwrap_or(src);
+                    entry.output_paths.push(format!("{dir}/{name}"));
+                    entry.bytes += self.dfs.file_len(src)?;
+                }
+                let paths = entry.output_paths.clone();
+                if self.dfs.cache_insert(entry)? {
+                    for (src, dst) in out.files.iter().zip(&paths) {
+                        let data = self.dfs.read_file(src, None)?;
+                        self.dfs.write_file(dst, None, &data)?;
+                    }
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Output of one executed map-task attempt, waiting for the shuffle (or,
+/// for map-only jobs, already committed).
 struct TaskOutput {
+    /// Sorted (and combined) records bound for the shuffle.
     records: Vec<(Vec<u8>, Row)>,
+    /// A map-only job's committed part.
+    part: Committed,
     cost: TaskCost,
     node: NodeId,
-    output_file: Option<String>,
+    /// Which attempt (0-based) of the task produced this output.
+    attempt: u32,
     /// Measured wall-clock of the whole attempt (observability-only).
     wall_ns: u64,
     /// Wall-clock the runner attributed to specific phases.
@@ -61,44 +197,108 @@ struct TaskOutput {
     speculative: bool,
 }
 
-/// Everything a map-task attempt needs, bundled so the first parallel wave
-/// and the sequential retry path share one execution function.
+/// Why a map-task attempt produced no output.
+enum AttemptError {
+    /// Another attempt, possibly elsewhere, may succeed: an injected crash,
+    /// a failed read, a lost heartbeat.
+    Retry(ClydeError),
+    /// Fails identically everywhere (out of memory), so the job fails.
+    Fatal(ClydeError),
+}
+
+/// A first-wave failure awaiting the retry wave: task, node, error.
+type Failure = (usize, NodeId, AttemptError);
+
+/// Recovery bookkeeping for one job's map stage: the profile whose
+/// recovery counters it fills, and the per-node failure counts that feed
+/// the blacklist.
+struct Recovery {
+    profile: JobProfile,
+    node_failures: Vec<u32>,
+    blacklisted: Vec<bool>,
+}
+
+impl Recovery {
+    /// Count a failed attempt on `node`; the node is blacklisted once it
+    /// reaches [`BLACKLIST_AFTER_FAILURES`].
+    fn note_failure(&mut self, node: NodeId) {
+        self.profile.failed_attempts += 1;
+        if let Some(count) = self.node_failures.get_mut(node.0) {
+            *count += 1;
+            if *count >= BLACKLIST_AFTER_FAILURES {
+                if let Some(b) = self.blacklisted.get_mut(node.0) {
+                    *b = true;
+                }
+            }
+        }
+    }
+}
+
+/// Everything a map-task attempt needs, shared by the first wave, the
+/// retry wave and speculation.
 struct MapTaskEnv<'a> {
+    engine: &'a Engine,
     spec: &'a JobSpec,
     splits: &'a [InputSplit],
-    dfs: &'a Arc<Dfs>,
-    local: &'a Arc<NodeLocalStore>,
     cache: &'a Arc<DistCache>,
-    node_states: &'a [Arc<NodeState>],
-    memories: &'a [Arc<MemoryTracker>],
+    commit: Commit<'a>,
+    /// Per-node JVM state (reused across tasks when the job asks) and memory.
+    nodes: &'a [(Arc<NodeState>, Arc<MemoryTracker>)],
     ledger: &'a Arc<MemoryLedger>,
     concurrency: u32,
     threads: u32,
     host_threads: u32,
-    map_only: bool,
-    params: &'a CostParams,
-    cluster: &'a ClusterSpec,
     faults: Option<&'a FaultPlan>,
     max_attempts: u32,
 }
 
 impl MapTaskEnv<'_> {
+    /// Attempt `attempt` (0-based) of map task `task_idx` on `node`: the
+    /// fault plan's injected crash, else the real execution, with any error
+    /// classified as retryable or fatal. The first wave, the retry wave and
+    /// speculative backups all launch work through here.
+    fn attempt(
+        &self,
+        task_idx: usize,
+        node: NodeId,
+        attempt: u32,
+    ) -> std::result::Result<TaskOutput, AttemptError> {
+        if self
+            .faults
+            .is_some_and(|f| f.fails_attempt(task_idx, attempt, self.max_attempts))
+        {
+            let msg = format!("injected fault: task {task_idx} attempt {attempt} crashed");
+            return Err(AttemptError::Retry(ClydeError::MapReduce(msg)));
+        }
+        match self.exec(task_idx, node) {
+            Ok(out) => Ok(TaskOutput { attempt, ..out }),
+            Err(e) if e.is_oom() => Err(AttemptError::Fatal(e)),
+            Err(e) => Err(AttemptError::Retry(e)),
+        }
+    }
+
     /// Execute one attempt of one map task on `node`.
     fn exec(&self, task_idx: usize, node: NodeId) -> Result<TaskOutput> {
         let wall_start = WallTimer::start();
-        let split = &self.splits[task_idx];
-        let io = TaskIo::new(Arc::clone(self.dfs), node);
+        let split = self
+            .splits
+            .get(task_idx)
+            .ok_or_else(|| ClydeError::MapReduce(format!("map task {task_idx} has no split")))?;
+        let io = TaskIo::new(Arc::clone(&self.engine.dfs), node);
         let out = Arc::new(MapOutputBuffer::new());
         let cost = Arc::new(Mutex::new(TaskCost {
             threads: self.threads,
             ..TaskCost::new()
         }));
+        let (jvm, memory) = self
+            .nodes
+            .get(node.0)
+            .ok_or_else(|| ClydeError::MapReduce(format!("map task on unknown node {}", node.0)))?;
         let state = if self.spec.reuse_jvm {
-            Arc::clone(&self.node_states[node.0])
+            Arc::clone(jvm)
         } else {
             Arc::new(NodeState::new())
         };
-        let memory = Arc::clone(&self.memories[node.0]);
         let ctx = MapTaskContext {
             conf: &self.spec.conf,
             split,
@@ -109,10 +309,10 @@ impl MapTaskEnv<'_> {
             host_threads: self.host_threads,
             slot_concurrency: self.concurrency,
             node_state: state,
-            memory: Arc::clone(&memory),
+            memory: Arc::clone(memory),
             ledger: Arc::clone(self.ledger),
             task_charges: Mutex::new(0),
-            local_store: Arc::clone(self.local),
+            local_store: Arc::clone(&self.engine.local),
             dist_cache: Arc::clone(self.cache),
             out: Arc::clone(&out),
             cost: Arc::clone(&cost),
@@ -135,27 +335,14 @@ impl MapTaskEnv<'_> {
             .map_err(|_| ClydeError::MapReduce("collector leaked out of the map task".into()))?
             .into_records();
 
-        let mut output_file = None;
-        if self.map_only {
-            match &self.spec.output {
-                OutputSpec::Memory => {}
-                OutputSpec::DfsDir(dir) => {
-                    let rows: Vec<Row> = std::mem::take(&mut records)
-                        .into_iter()
-                        .map(|(k, v)| Ok(keycodec::decode_row(&k)?.concat(&v)))
-                        .collect::<Result<_>>()?;
-                    let path = format!("{dir}/part-m-{task_idx:05}");
-                    // A previous attempt may have died between committing its
-                    // file and reporting success; re-attempts supersede it.
-                    if self.dfs.exists(&path) {
-                        self.dfs.delete(&path)?;
-                    }
-                    let payload = rowcodec::write_rows(&rows);
-                    task_cost.output_bytes += payload.len() as u64;
-                    self.dfs.write_file(&path, None, &payload)?;
-                    output_file = Some(path);
-                }
-            }
+        let mut part = Committed::default();
+        if self.spec.reducer.is_none() {
+            let rows: Vec<Row> = std::mem::take(&mut records)
+                .into_iter()
+                .map(|(k, v)| Ok(keycodec::decode_row(&k)?.concat(&v)))
+                .collect::<Result<_>>()?;
+            self.commit
+                .part('m', task_idx, rows, &mut task_cost, &mut part)?;
         } else {
             // Map-side sort (and combine) before the shuffle.
             shuffle::sort_records(&mut records);
@@ -168,9 +355,10 @@ impl MapTaskEnv<'_> {
 
         Ok(TaskOutput {
             records,
+            part,
             cost: task_cost,
             node,
-            output_file,
+            attempt: 0,
             wall_ns: wall_start.elapsed_ns(),
             wall_phases,
             speculative: false,
@@ -180,28 +368,181 @@ impl MapTaskEnv<'_> {
     /// Straggler multiplier the fault plan imposes on `node` (1.0 clean).
     fn slow_factor(&self, node: NodeId) -> f64 {
         self.faults
-            .map_or(1.0, |f| f.slow_factor(node.0, self.memories.len()))
+            .map_or(1.0, |f| f.slow_factor(node.0, self.nodes.len()))
+    }
+
+    /// Simulated time at which the fault plan kills `node`, if it does.
+    fn death_time(&self, node: usize) -> Option<f64> {
+        self.faults
+            .and_then(|f| f.death_time(node, self.nodes.len()))
     }
 
     /// Simulated duration of a map attempt with `cost` on `node`, including
     /// the plan's slow-node multiplier. This is the clock heartbeats and the
     /// speculative-execution straggler detector run on — never wall time.
     fn sim_duration(&self, cost: &TaskCost, node: NodeId) -> f64 {
-        self.params
-            .map_task_duration(self.cluster, cost, self.concurrency)
+        self.engine
+            .params
+            .map_task_duration(self.engine.dfs.cluster(), cost, self.concurrency)
             * self.slow_factor(node)
     }
 
-    /// The fault plan's verdict on attempt `attempt` (0-based) of `task_idx`.
-    fn injected_failure(&self, task_idx: usize, attempt: u32) -> Option<ClydeError> {
-        let f = self.faults?;
-        if f.fails_attempt(task_idx, attempt, self.max_attempts) {
-            Some(ClydeError::MapReduce(format!(
-                "injected fault: task {task_idx} attempt {attempt} crashed"
-            )))
-        } else {
-            None
+    /// First wave: one worker thread per node drains that node's queue.
+    /// Failures are collected for the retry wave, never fatal here.
+    fn first_wave(&self, assignment: &[NodeId]) -> Result<(Vec<Option<TaskOutput>>, Vec<Failure>)> {
+        let mut tasks_by_node: Vec<Vec<usize>> = vec![Vec::new(); self.nodes.len()];
+        for (i, node) in assignment.iter().enumerate() {
+            let bucket = tasks_by_node.get_mut(node.0).ok_or_else(|| {
+                ClydeError::MapReduce(format!("task assigned to unknown node {}", node.0))
+            })?;
+            bucket.push(i);
         }
+        let outputs: Vec<Mutex<Option<TaskOutput>>> =
+            self.splits.iter().map(|_| Mutex::new(None)).collect();
+        let failures: Mutex<Vec<Failure>> = Mutex::new(Vec::new());
+        std::thread::scope(|scope| {
+            for (node_idx, queue) in tasks_by_node.iter().enumerate() {
+                if queue.is_empty() {
+                    continue;
+                }
+                let (outputs, failures) = (&outputs, &failures);
+                scope.spawn(move || self.drain_node(NodeId(node_idx), queue, outputs, failures));
+            }
+        });
+        let mut failures = failures.into_inner();
+        failures.sort_by_key(|(idx, _, _)| *idx); // deterministic order
+        Ok((
+            outputs.into_iter().map(Mutex::into_inner).collect(),
+            failures,
+        ))
+    }
+
+    /// One first-wave worker. It tracks its node's simulated clock (the sum
+    /// of its committed attempts' durations) so a planned datanode death
+    /// strikes at a deterministic point.
+    fn drain_node(
+        &self,
+        node: NodeId,
+        queue: &[usize],
+        outputs: &[Mutex<Option<TaskOutput>>],
+        failures: &Mutex<Vec<Failure>>,
+    ) {
+        let death = self.death_time(node.0);
+        let lost = |why: &str| {
+            AttemptError::Retry(ClydeError::MapReduce(format!(
+                "heartbeat lost: node {} {why}",
+                node.0
+            )))
+        };
+        let mut sim_elapsed = 0.0f64;
+        let mut down = false;
+        for &task_idx in queue {
+            if down {
+                // The tasktracker stopped heartbeating; its remaining queue
+                // fails over to other nodes.
+                failures.lock().push((task_idx, node, lost("is dead")));
+                continue;
+            }
+            match self.attempt(task_idx, node, 0) {
+                Ok(out) => {
+                    let dur = self.sim_duration(&out.cost, node);
+                    if death.is_some_and(|at| sim_elapsed + dur > at) {
+                        // Died mid-attempt: the work is lost.
+                        down = true;
+                        failures
+                            .lock()
+                            .push((task_idx, node, lost("died mid-task")));
+                        continue;
+                    }
+                    sim_elapsed += dur;
+                    if let Some(slot) = outputs.get(task_idx) {
+                        *slot.lock() = Some(out);
+                    }
+                }
+                Err(e) => failures.lock().push((task_idx, node, e)),
+            }
+        }
+    }
+
+    /// Heartbeat barrier: planned deaths take effect cluster-wide. The
+    /// namenode re-replicates lost blocks, and each split's preferred hosts
+    /// are refreshed so retries chase the data. Returns those hosts.
+    fn heartbeat_barrier(&self, recovery: &mut Recovery) -> Result<Vec<Vec<NodeId>>> {
+        let n = self.nodes.len();
+        let mut hosts: Vec<Vec<NodeId>> = self.splits.iter().map(|s| s.hosts.clone()).collect();
+        for i in (0..n).filter(|i| self.death_time(*i).is_some()) {
+            self.engine.dfs.kill_node(NodeId(i));
+            recovery.profile.dead_nodes.push(NodeId(i));
+            if let Some(b) = recovery.blacklisted.get_mut(i) {
+                *b = true;
+            }
+        }
+        // With every node dead there is nothing to re-replicate onto; the
+        // retry wave reports the job-level failure instead.
+        if !recovery.profile.dead_nodes.is_empty() && recovery.profile.dead_nodes.len() < n {
+            recovery.profile.rereplicated_blocks = self.engine.dfs.rereplicate()? as u64;
+            for (s, slot) in self.splits.iter().zip(hosts.iter_mut()) {
+                if let SplitSpec::FileRange { path, .. } = &s.spec {
+                    if let Ok(h) = self.engine.dfs.hosts(path) {
+                        *slot = h;
+                    }
+                }
+            }
+        }
+        Ok(hosts)
+    }
+
+    /// Retry wave: re-execute each failed task, in task order, on alternate
+    /// nodes, steering around dead and blacklisted ones.
+    fn retry_wave(
+        &self,
+        outputs: &mut [Option<TaskOutput>],
+        failures: Vec<Failure>,
+        hosts: &[Vec<NodeId>],
+        recovery: &mut Recovery,
+    ) -> Result<()> {
+        for (task_idx, node, err) in failures {
+            let err = match err {
+                AttemptError::Fatal(e) => return Err(e),
+                AttemptError::Retry(e) => e,
+            };
+            recovery.note_failure(node);
+            let task_hosts = hosts.get(task_idx).map(Vec::as_slice).unwrap_or_default();
+            let out = self.retry(task_idx, node, err, task_hosts, recovery)?;
+            if let Some(slot) = outputs.get_mut(task_idx) {
+                *slot = Some(out);
+            }
+        }
+        Ok(())
+    }
+
+    /// Re-attempt one failed task until an attempt succeeds or the budget
+    /// is spent.
+    fn retry(
+        &self,
+        task_idx: usize,
+        mut prev_node: NodeId,
+        mut last_err: ClydeError,
+        hosts: &[NodeId],
+        recovery: &mut Recovery,
+    ) -> Result<TaskOutput> {
+        for attempt in 1..self.max_attempts {
+            let node =
+                self.retry_node(task_idx, prev_node, attempt, hosts, &recovery.blacklisted)?;
+            match self.attempt(task_idx, node, attempt) {
+                Ok(out) => return Ok(out),
+                Err(AttemptError::Fatal(e)) => return Err(e),
+                Err(AttemptError::Retry(e)) => {
+                    recovery.note_failure(node);
+                    last_err = e;
+                    prev_node = node;
+                }
+            }
+        }
+        Err(ClydeError::MapReduce(format!(
+            "map task {task_idx} failed after {} attempts: {last_err}",
+            self.max_attempts
+        )))
     }
 
     /// Deterministic alternate node for retry `attempt` (1-based retries):
@@ -217,7 +558,7 @@ impl MapTaskEnv<'_> {
         hosts: &[NodeId],
         blacklisted: &[bool],
     ) -> Result<NodeId> {
-        let n = self.memories.len();
+        let n = self.nodes.len();
         let mut candidates: Vec<NodeId> = hosts.iter().copied().filter(|h| h.0 < n).collect();
         for i in 0..n {
             let node = NodeId(i);
@@ -225,35 +566,111 @@ impl MapTaskEnv<'_> {
                 candidates.push(node);
             }
         }
-        candidates.retain(|c| self.dfs.is_node_alive(*c));
+        candidates.retain(|c| self.engine.dfs.is_node_alive(*c));
         if candidates.is_empty() {
             return Err(ClydeError::MapReduce(format!(
                 "map task {task_idx}: no live node left to retry on"
             )));
         }
-        let healthy: Vec<NodeId> = candidates
-            .iter()
-            .copied()
-            .filter(|c| *c != failed && !blacklisted.get(c.0).copied().unwrap_or(false))
-            .collect();
-        let pool = if !healthy.is_empty() {
-            healthy
-        } else {
-            let not_failed: Vec<NodeId> = candidates
-                .iter()
-                .copied()
-                .filter(|c| *c != failed)
-                .collect();
-            if !not_failed.is_empty() {
-                not_failed
-            } else {
-                candidates // single live node: retry in place
-            }
-        };
+        let clean = |c: &NodeId| !blacklisted.get(c.0).copied().unwrap_or(false);
+        let healthy: Vec<NodeId> = candidates.iter().copied().filter(clean).collect();
+        // Prefer a healthy node, then any but the failed one; a single live
+        // node retries in place.
+        let pool = [healthy, candidates.clone()]
+            .into_iter()
+            .map(|p| p.into_iter().filter(|c| *c != failed).collect::<Vec<_>>())
+            .find(|p| !p.is_empty())
+            .unwrap_or(candidates);
         let k = (attempt as usize).saturating_sub(1) % pool.len().max(1);
         pool.get(k)
             .copied()
             .ok_or_else(|| ClydeError::MapReduce("no candidate node for retry".into()))
+    }
+
+    /// Speculative execution: with a fault plan armed, launch one backup
+    /// attempt per straggler (simulated duration beyond
+    /// `speculative_slowdown` × median) and commit whichever attempt
+    /// finishes first on the simulated clock. The part commit is
+    /// idempotent, so racing two attempts is safe; the loser is recorded as
+    /// a killed attempt and priced as wasted slot time. A failed backup
+    /// never fails the job — the original output already stands.
+    fn speculate(&self, outputs: &mut [Option<TaskOutput>], recovery: &mut Recovery) -> Result<()> {
+        let Some(plan) = self.faults.filter(|f| f.speculative_slowdown.is_finite()) else {
+            return Ok(());
+        };
+        if outputs.len() < 2 {
+            return Ok(());
+        }
+        let mut durs: Vec<f64> = Vec::with_capacity(outputs.len());
+        for o in outputs.iter() {
+            let out = o.as_ref().ok_or_else(|| {
+                ClydeError::MapReduce("speculation ran before all map outputs committed".into())
+            })?;
+            durs.push(self.sim_duration(&out.cost, out.node));
+        }
+        let mut sorted = durs.clone();
+        sorted.sort_by(f64::total_cmp);
+        let median = sorted.get(sorted.len() / 2).copied().unwrap_or_default();
+        // The detector fires once the original has run for `threshold`
+        // simulated seconds — that is also when the backup launches.
+        let threshold = plan.speculative_slowdown * median;
+        for (idx, (slot, &orig_dur)) in outputs.iter_mut().zip(&durs).enumerate() {
+            if orig_dur <= threshold + 1e-9 {
+                continue;
+            }
+            let Some(orig) = slot.as_ref() else { continue };
+            let Some(backup) = self.backup_node(orig.node, &recovery.blacklisted) else {
+                continue;
+            };
+            recovery.profile.speculative_attempts += 1;
+            let mut bout = match self.attempt(idx, backup, orig.attempt + 1) {
+                Ok(out) => out,
+                Err(AttemptError::Fatal(e)) => return Err(e),
+                Err(AttemptError::Retry(_)) => {
+                    recovery.note_failure(backup);
+                    continue;
+                }
+            };
+            let Some(orig) = slot.take() else { continue };
+            let backup_dur = self.sim_duration(&bout.cost, backup);
+            let backup_finish = threshold + backup_dur;
+            // The loser is killed when the winner commits: a losing original
+            // after `backup_finish` seconds, a losing backup once the
+            // original finishes.
+            let (winner, loser, busy_s) = if backup_finish + 1e-9 < orig_dur {
+                recovery.profile.speculative_wins += 1;
+                bout.speculative = true;
+                (bout, orig, backup_finish)
+            } else {
+                let busy_s = (orig_dur - threshold).max(0.0).min(backup_dur);
+                (orig, bout, busy_s)
+            };
+            recovery.profile.killed_attempts.push(KilledAttempt {
+                task: idx,
+                node: loser.node,
+                busy_s,
+                cost: loser.cost,
+            });
+            *slot = Some(winner);
+        }
+        Ok(())
+    }
+
+    /// Where a straggler on `orig` gets its backup: the fastest live,
+    /// non-blacklisted other node.
+    fn backup_node(&self, orig: NodeId, blacklisted: &[bool]) -> Option<NodeId> {
+        (0..self.nodes.len())
+            .map(NodeId)
+            .filter(|c| {
+                *c != orig
+                    && blacklisted.get(c.0).is_some_and(|b| !b)
+                    && self.engine.dfs.is_node_alive(*c)
+            })
+            .min_by(|a, b| {
+                self.slow_factor(*a)
+                    .total_cmp(&self.slow_factor(*b))
+                    .then(a.0.cmp(&b.0))
+            })
     }
 }
 
@@ -310,7 +727,7 @@ impl Engine {
 
     /// Run a job, making `client.cache` available to every task.
     pub fn run_job_with(&self, spec: &JobSpec, client: ClientArtifacts) -> Result<JobResult> {
-        self.run_job_inner(spec, client, true).map(|(r, _)| r)
+        self.run_stages(spec, client, true).map(|(r, _)| r)
     }
 
     /// Run a job without recording it into the observability hub. Returns
@@ -318,357 +735,149 @@ impl Engine {
     /// so a caller — the job server — can publish a *scheduled* history for
     /// it later, on the shared multi-job timeline, without double-counting.
     pub fn run_job_quiet(&self, spec: &JobSpec) -> Result<(JobResult, Option<IoSnapshot>)> {
-        self.run_job_inner(spec, ClientArtifacts::default(), false)
+        self.run_stages(spec, ClientArtifacts::default(), false)
     }
 
-    fn run_job_inner(
+    /// The stage driver: resolve → reuse → map → shuffle/reduce → commit.
+    /// `publish` records the history into the observability hub; the job
+    /// server publishes a scheduled one instead.
+    fn run_stages(
         &self,
         spec: &JobSpec,
         client: ClientArtifacts,
         publish: bool,
     ) -> Result<(JobResult, Option<IoSnapshot>)> {
-        let io_scope = if self.obs.is_enabled() {
-            Some(self.dfs.io_scope())
-        } else {
-            None
+        let io_scope = self.obs.is_enabled().then(|| self.dfs.io_scope());
+        let job = self.resolve(spec)?;
+        // Reuse (ReStore-style): a catalog hit replaces the whole execution
+        // with a metadata-only read of the persisted output.
+        if let Some(entry) = job.fingerprint.and_then(|fp| self.dfs.cache_lookup(fp)) {
+            let out = job.commit.serve(&entry)?;
+            let profile = JobProfile {
+                name: spec.name.clone(),
+                map_concurrency: 1,
+                split_locality: 1.0,
+                ..JobProfile::default()
+            };
+            return self.finish(&job, Some(&entry), out, profile, io_scope, publish);
+        }
+        let (mut tasks, mut profile) = self.map_stage(&job, &client)?;
+        let out = match &spec.reducer {
+            Some(reducer) => self.reduce_stage(&job, &**reducer, &mut tasks, &mut profile)?,
+            None => {
+                let mut out = Committed::default();
+                for t in &mut tasks {
+                    out.rows.append(&mut t.part.rows);
+                    out.files.append(&mut t.part.files);
+                }
+                out
+            }
         };
-        let cluster = self.dfs.cluster().clone();
-        let n = cluster.num_workers();
-        let faults = spec.faults.as_deref();
-        // Fault injection: rot the planned replicas before anything reads.
-        if let Some(f) = faults {
+        self.finish(&job, None, out, profile, io_scope, publish)
+    }
+
+    /// Resolve: rot the fault plan's replicas before anything reads, then
+    /// compute the splits and the job's fingerprint. Only jobs that carry a
+    /// code-identity token, on a cache-enabled DFS, are fingerprinted.
+    fn resolve<'a>(&'a self, spec: &'a JobSpec) -> Result<Resolved<'a>> {
+        if let Some(f) = spec.faults.as_deref() {
             if f.corrupt_replicas > 0 {
                 self.dfs.inject_corruption(f.seed, f.corrupt_replicas);
             }
         }
         let splits = spec.input.splits(&self.dfs, &spec.conf)?;
-        // Result-cache probe (ReStore-style reuse): jobs that carry a
-        // code-identity token fingerprint their resolved inputs, and a
-        // catalog hit replaces the whole execution with a metadata-only
-        // read of the persisted output, priced as a DFS scan.
         let fingerprint = if self.dfs.cache_enabled() {
             crate::fingerprint::job_fingerprint(spec, &splits)
         } else {
             None
         };
-        if let Some(fp) = fingerprint {
-            if let Some(entry) = self.dfs.cache_lookup(fp) {
-                return self.serve_from_cache(spec, &entry, &cluster, &io_scope, publish);
-            }
-        }
-        let concurrency = scheduler::concurrency_per_node(&cluster, spec.declared_task_memory);
-        let assignment = scheduler::assign_map_tasks(&splits, &cluster);
-        let threads = spec.task_threads.unwrap_or(1).max(1);
-        let host_threads = spec.host_threads.unwrap_or(threads).max(1);
-        let max_attempts = spec.max_task_attempts.max(1);
+        Ok(Resolved {
+            commit: Commit {
+                dfs: &self.dfs,
+                spec,
+            },
+            splits,
+            fingerprint,
+        })
+    }
 
-        let node_states: Vec<Arc<NodeState>> = (0..n).map(|_| Arc::new(NodeState::new())).collect();
-        let memories: Vec<Arc<MemoryTracker>> = (0..n)
-            .map(|_| Arc::new(MemoryTracker::new(cluster.node.memory_bytes)))
+    /// Map: place the tasks, run the first wave, pass the heartbeat
+    /// barrier, retry what failed, and race backups against stragglers.
+    /// Returns every task's committed attempt, in task order, and the
+    /// profile's map side.
+    fn map_stage(
+        &self,
+        job: &Resolved<'_>,
+        client: &ClientArtifacts,
+    ) -> Result<(Vec<TaskOutput>, JobProfile)> {
+        let (spec, splits) = (job.commit.spec, job.splits.as_slice());
+        let cluster = self.dfs.cluster();
+        let n = cluster.num_workers();
+        let assignment = scheduler::assign_map_tasks(splits, cluster);
+        let threads = spec.task_threads.unwrap_or(1).max(1);
+        let nodes: Vec<_> = (0..n)
+            .map(|_| {
+                let memory = MemoryTracker::new(cluster.node.memory_bytes);
+                (Arc::new(NodeState::new()), Arc::new(memory))
+            })
             .collect();
         let ledger = Arc::new(MemoryLedger::new());
         let env = MapTaskEnv {
+            engine: self,
             spec,
-            splits: &splits,
-            dfs: &self.dfs,
-            local: &self.local,
+            splits,
             cache: &client.cache,
-            node_states: &node_states,
-            memories: &memories,
+            commit: job.commit,
+            nodes: &nodes,
             ledger: &ledger,
-            concurrency,
+            concurrency: scheduler::concurrency_per_node(cluster, spec.declared_task_memory),
             threads,
-            host_threads,
-            map_only: spec.reducer.is_none(),
-            params: &self.params,
-            cluster: &cluster,
-            faults,
-            max_attempts,
+            host_threads: spec.host_threads.unwrap_or(threads).max(1),
+            faults: spec.faults.as_deref(),
+            max_attempts: spec.max_task_attempts.max(1),
         };
-
-        let mut tasks_by_node: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, node) in assignment.iter().enumerate() {
-            let bucket = tasks_by_node.get_mut(node.0).ok_or_else(|| {
-                ClydeError::MapReduce(format!("task assigned to unknown node {}", node.0))
-            })?;
-            bucket.push(i);
-        }
-
-        // --- Map phase, first wave: one worker thread per node. Failures
-        // are collected, not fatal (except OOM). Each worker tracks its own
-        // simulated clock (sum of its committed attempts' durations) so a
-        // planned datanode death strikes at a deterministic point. ---
-        let outputs: Vec<Mutex<Option<TaskOutput>>> =
-            splits.iter().map(|_| Mutex::new(None)).collect();
-        let failures: Mutex<Vec<(usize, NodeId, ClydeError)>> = Mutex::new(Vec::new());
-        let death_times: Vec<Option<f64>> = (0..n)
-            .map(|i| faults.and_then(|f| f.death_time(i, n)))
-            .collect();
-
-        std::thread::scope(|scope| {
-            for (node_idx, task_list) in tasks_by_node.iter().enumerate() {
-                if task_list.is_empty() {
-                    continue;
-                }
-                let node = NodeId(node_idx);
-                let env = &env;
-                let outputs = &outputs;
-                let failures = &failures;
-                let death = death_times.get(node_idx).copied().flatten();
-                scope.spawn(move || {
-                    let mut sim_elapsed = 0.0f64;
-                    let mut down = false;
-                    for &task_idx in task_list {
-                        if down {
-                            // The tasktracker stopped heartbeating; its
-                            // remaining queue fails over to other nodes.
-                            failures.lock().push((
-                                task_idx,
-                                node,
-                                ClydeError::MapReduce(format!(
-                                    "heartbeat lost: node {} is dead",
-                                    node.0
-                                )),
-                            ));
-                            continue;
-                        }
-                        if let Some(err) = env.injected_failure(task_idx, 0) {
-                            failures.lock().push((task_idx, node, err));
-                            continue;
-                        }
-                        match env.exec(task_idx, node) {
-                            Ok(out) => {
-                                let dur = env.sim_duration(&out.cost, node);
-                                if let Some(at) = death {
-                                    if sim_elapsed + dur > at {
-                                        // Died mid-attempt: the work is lost.
-                                        down = true;
-                                        failures.lock().push((
-                                            task_idx,
-                                            node,
-                                            ClydeError::MapReduce(format!(
-                                                "heartbeat lost: node {} died mid-task",
-                                                node.0
-                                            )),
-                                        ));
-                                        continue;
-                                    }
-                                }
-                                sim_elapsed += dur;
-                                if let Some(slot) = outputs.get(task_idx) {
-                                    *slot.lock() = Some(out);
-                                }
-                            }
-                            Err(e) => failures.lock().push((task_idx, node, e)),
-                        }
+        let mut rec = Recovery {
+            profile: JobProfile {
+                name: spec.name.clone(),
+                map_concurrency: env.concurrency,
+                client_build_rows: client.build_rows,
+                split_locality: scheduler::locality_fraction(splits, &assignment),
+                node_slowdown: match env.faults {
+                    Some(f) if !f.slow_nodes.is_empty() => {
+                        (0..n).map(|i| f.slow_factor(i, n)).collect()
                     }
-                });
-            }
-        });
-
-        // --- Heartbeat barrier: planned deaths take effect cluster-wide.
-        // The namenode re-replicates lost blocks and the scheduler refreshes
-        // each pending task's preferred hosts so retries chase the data. ---
-        let mut dead_nodes: Vec<NodeId> = Vec::new();
-        let mut rereplicated_blocks = 0u64;
-        let mut blacklisted = vec![false; n];
-        let mut node_failures = vec![0u32; n];
-        let mut retry_hosts: Vec<Vec<NodeId>> = splits.iter().map(|s| s.hosts.clone()).collect();
-        for (i, death) in death_times.iter().enumerate() {
-            if death.is_some() {
-                let node = NodeId(i);
-                self.dfs.kill_node(node);
-                dead_nodes.push(node);
-                if let Some(b) = blacklisted.get_mut(i) {
-                    *b = true;
-                }
-            }
-        }
-        if dead_nodes.len() < n {
-            // With every node dead there is nothing to re-replicate onto; let
-            // the retry path below report the job-level failure instead.
-            if !dead_nodes.is_empty() {
-                rereplicated_blocks = self.dfs.rereplicate()? as u64;
-                for (s, slot) in splits.iter().zip(retry_hosts.iter_mut()) {
-                    if let SplitSpec::FileRange { path, .. } = &s.spec {
-                        if let Ok(hosts) = self.dfs.hosts(path) {
-                            *slot = hosts;
-                        }
-                    }
-                }
-            }
-        }
-
-        // --- Retry wave: re-execute failed tasks on alternate nodes,
-        // steering around dead and blacklisted ones. ---
-        let mut failed_attempts = 0u32;
-        let note_failure =
-            |node_failures: &mut Vec<u32>, blacklisted: &mut Vec<bool>, node: NodeId| {
-                let Some(count) = node_failures.get_mut(node.0) else {
-                    return;
-                };
-                *count += 1;
-                if *count >= BLACKLIST_AFTER_FAILURES {
-                    if let Some(b) = blacklisted.get_mut(node.0) {
-                        *b = true;
-                    }
-                }
-            };
-        let mut failures = failures.into_inner();
-        failures.sort_by_key(|(idx, _, _)| *idx); // deterministic order
-        for (task_idx, first_node, mut last_err) in failures {
-            if last_err.is_oom() {
-                return Err(last_err);
-            }
-            failed_attempts += 1;
-            note_failure(&mut node_failures, &mut blacklisted, first_node);
-            let mut done = false;
-            let mut prev_node = first_node;
-            let task_hosts = retry_hosts
-                .get(task_idx)
-                .map(Vec::as_slice)
-                .unwrap_or_default();
-            for attempt in 1..max_attempts {
-                let node =
-                    env.retry_node(task_idx, prev_node, attempt, task_hosts, &blacklisted)?;
-                if let Some(err) = env.injected_failure(task_idx, attempt) {
-                    failed_attempts += 1;
-                    note_failure(&mut node_failures, &mut blacklisted, node);
-                    last_err = err;
-                    prev_node = node;
-                    continue;
-                }
-                match env.exec(task_idx, node) {
-                    Ok(out) => {
-                        if let Some(slot) = outputs.get(task_idx) {
-                            *slot.lock() = Some(out);
-                        }
-                        done = true;
-                        break;
-                    }
-                    Err(e) if e.is_oom() => return Err(e),
-                    Err(e) => {
-                        failed_attempts += 1;
-                        note_failure(&mut node_failures, &mut blacklisted, node);
-                        last_err = e;
-                        prev_node = node;
-                    }
-                }
-            }
-            if !done {
-                return Err(ClydeError::MapReduce(format!(
-                    "map task {task_idx} failed after {max_attempts} attempts: {last_err}"
-                )));
-            }
-        }
-
-        // --- Speculative execution: with a fault plan armed, launch one
-        // backup attempt per straggler (simulated duration beyond
-        // `speculative_slowdown` × median) and commit whichever attempt
-        // finishes first on the simulated clock. The output commit is
-        // idempotent, so racing two attempts is safe; the loser is recorded
-        // as a killed attempt and priced as wasted slot time. ---
-        let mut speculative_attempts = 0u32;
-        let mut speculative_wins = 0u32;
-        let mut killed_attempts: Vec<KilledAttempt> = Vec::new();
-        let spec_plan = if splits.len() >= 2 {
-            faults.filter(|f| f.speculative_slowdown.is_finite())
-        } else {
-            None
+                    _ => Vec::new(),
+                },
+                ..JobProfile::default()
+            },
+            node_failures: vec![0; n],
+            blacklisted: vec![false; n],
         };
-        if let Some(plan) = spec_plan {
-            let slowdown = plan.speculative_slowdown;
-            let mut durs: Vec<f64> = Vec::with_capacity(outputs.len());
-            for o in &outputs {
-                let g = o.lock();
-                let out = g.as_ref().ok_or_else(|| {
-                    ClydeError::MapReduce("speculation ran before all map outputs committed".into())
-                })?;
-                durs.push(env.sim_duration(&out.cost, out.node));
-            }
-            let mut sorted = durs.clone();
-            sorted.sort_by(f64::total_cmp);
-            let median = sorted.get(sorted.len() / 2).copied().unwrap_or_default();
-            // The detector fires once the original has run for `threshold`
-            // simulated seconds — that is also when the backup launches.
-            let threshold = slowdown * median;
-            for (idx, &orig_dur) in durs.iter().enumerate() {
-                if orig_dur <= threshold + 1e-9 {
-                    continue;
-                }
-                let Some(orig_node) = outputs
-                    .get(idx)
-                    .and_then(|o| o.lock().as_ref().map(|t| t.node))
-                else {
-                    continue;
-                };
-                // Backup runs on the fastest live, non-blacklisted other node.
-                let backup = (0..n)
-                    .map(NodeId)
-                    .filter(|c| {
-                        *c != orig_node
-                            && blacklisted.get(c.0).is_some_and(|b| !b)
-                            && self.dfs.is_node_alive(*c)
-                    })
-                    .min_by(|a, b| {
-                        env.slow_factor(*a)
-                            .total_cmp(&env.slow_factor(*b))
-                            .then(a.0.cmp(&b.0))
-                    });
-                let Some(backup) = backup else { continue };
-                speculative_attempts += 1;
-                match env.exec(idx, backup) {
-                    Ok(mut bout) => {
-                        let backup_dur = env.sim_duration(&bout.cost, backup);
-                        let backup_finish = threshold + backup_dur;
-                        let Some(slot_cell) = outputs.get(idx) else {
-                            continue;
-                        };
-                        let mut slot = slot_cell.lock();
-                        let Some(orig) = slot.take() else { continue };
-                        if backup_finish + 1e-9 < orig_dur {
-                            // Backup wins the race; the original is killed
-                            // after `backup_finish` seconds of occupancy.
-                            speculative_wins += 1;
-                            killed_attempts.push(KilledAttempt {
-                                task: idx,
-                                node: orig.node,
-                                busy_s: backup_finish,
-                                cost: orig.cost,
-                            });
-                            bout.speculative = true;
-                            *slot = Some(bout);
-                        } else {
-                            // Original wins; the backup is killed once the
-                            // original commits.
-                            killed_attempts.push(KilledAttempt {
-                                task: idx,
-                                node: backup,
-                                busy_s: (orig_dur - threshold).max(0.0).min(backup_dur),
-                                cost: bout.cost,
-                            });
-                            *slot = Some(orig);
-                        }
-                    }
-                    Err(e) if e.is_oom() => return Err(e),
-                    Err(_) => {
-                        // A failed backup never fails the job — the original
-                        // output already stands.
-                        failed_attempts += 1;
-                        note_failure(&mut node_failures, &mut blacklisted, backup);
-                    }
-                }
+        let (mut outputs, failures) = env.first_wave(&assignment)?;
+        let hosts = env.heartbeat_barrier(&mut rec)?;
+        env.retry_wave(&mut outputs, failures, &hosts, &mut rec)?;
+        env.speculate(&mut outputs, &mut rec)?;
+        let tasks = outputs
+            .into_iter()
+            .map(|o| {
+                o.ok_or_else(|| ClydeError::MapReduce("map task produced no output record".into()))
+            })
+            .collect::<Result<Vec<_>>>()?;
+
+        let mut profile = rec.profile;
+        // Roll runner-attributed wall clock up to the job, in phase order.
+        for phase in Phase::all() {
+            let ns: u64 = tasks
+                .iter()
+                .flat_map(|t| &t.wall_phases)
+                .filter(|(p, _)| p == phase)
+                .map(|(_, ns)| ns)
+                .sum();
+            if ns > 0 {
+                profile.wall_phases.push((*phase, ns));
             }
         }
-
-        let mut task_outputs: Vec<TaskOutput> = Vec::with_capacity(splits.len());
-        for o in outputs {
-            task_outputs.push(o.into_inner().ok_or_else(|| {
-                ClydeError::MapReduce("map task produced no output record".into())
-            })?);
-        }
-
-        let map_tasks: Vec<TaskProfile> = task_outputs
+        profile.map_tasks = tasks
             .iter()
             .map(|t| TaskProfile {
                 node: t.node,
@@ -677,299 +886,125 @@ impl Engine {
                 speculative: t.speculative,
             })
             .collect();
-        // Roll runner-attributed wall clock up to the job, in phase order.
-        let mut wall_phases: Vec<(Phase, u64)> = Vec::new();
-        for phase in Phase::all() {
-            let ns: u64 = task_outputs
-                .iter()
-                .flat_map(|t| &t.wall_phases)
-                .filter(|(p, _)| p == phase)
-                .map(|(_, ns)| ns)
-                .sum();
-            if ns > 0 {
-                wall_phases.push((*phase, ns));
-            }
-        }
-        let total_map = map_tasks
+        // Read once the tasks are done: they fetch from the cache and charge
+        // the ledger as they run.
+        profile.client_publish_bytes = client.cache.disseminated_bytes();
+        profile.memory_per_slot = ledger.per_slot();
+        profile.memory_shared = ledger.shared();
+        profile.memory_per_slot_fixed = ledger.per_slot_fixed();
+        profile.memory_shared_fixed = ledger.shared_fixed();
+        profile.blacklisted_nodes = rec
+            .blacklisted
             .iter()
-            .fold(TaskCost::new(), |acc, t| acc.merge(&t.cost));
-        let locality = {
-            let total = total_map.local_bytes + total_map.remote_bytes;
-            if total == 0 {
-                1.0
-            } else {
-                total_map.local_bytes as f64 / total as f64
-            }
-        };
-
-        let mut rows: Vec<Row> = Vec::new();
-        let mut output_files: Vec<String> = Vec::new();
-        let mut reduce_tasks: Vec<TaskProfile> = Vec::new();
-        let mut shuffle_bytes = 0u64;
-
-        if env.map_only {
-            match &spec.output {
-                OutputSpec::Memory => {
-                    for t in &mut task_outputs {
-                        for (k, v) in std::mem::take(&mut t.records) {
-                            rows.push(keycodec::decode_row(&k)?.concat(&v));
-                        }
-                    }
-                }
-                OutputSpec::DfsDir(_) => {
-                    output_files
-                        .extend(task_outputs.iter_mut().filter_map(|t| t.output_file.take()));
-                }
-            }
-        } else {
-            let Some(reducer) = spec.reducer.as_ref() else {
-                return Err(ClydeError::MapReduce(
-                    "reduce phase without a reducer".into(),
-                ));
-            };
-            let num_reducers = spec.num_reducers.max(1);
-            // Partition every task's sorted output.
-            type SortedRun = Vec<(Vec<u8>, Row)>;
-            let mut runs: Vec<Vec<SortedRun>> = (0..num_reducers).map(|_| Vec::new()).collect();
-            for t in &mut task_outputs {
-                let mut per_part: Vec<SortedRun> = (0..num_reducers).map(|_| Vec::new()).collect();
-                for (k, v) in std::mem::take(&mut t.records) {
-                    let p = shuffle::partition_of(&k, num_reducers);
-                    let bucket = per_part.get_mut(p).ok_or_else(|| {
-                        ClydeError::MapReduce(format!("partition {p} out of range"))
-                    })?;
-                    shuffle_bytes += (k.len() + v.heap_size()) as u64;
-                    bucket.push((k, v));
-                }
-                for (p, run) in per_part.into_iter().enumerate() {
-                    if run.is_empty() {
-                        continue;
-                    }
-                    if let Some(dest) = runs.get_mut(p) {
-                        dest.push(run);
-                    }
-                }
-            }
-
-            // Reducers planned for a node that died mid-job fail over to the
-            // next live node (deterministic round-robin walk).
-            let reduce_nodes: Vec<NodeId> = scheduler::assign_reduce_tasks(num_reducers, &cluster)
-                .into_iter()
-                .map(|node| {
-                    if self.dfs.is_node_alive(node) {
-                        node
-                    } else {
-                        (1..=n)
-                            .map(|d| NodeId((node.0 + d) % n))
-                            .find(|c| self.dfs.is_node_alive(*c))
-                            .unwrap_or(node)
-                    }
-                })
-                .collect();
-            for (r, node) in reduce_nodes.iter().enumerate() {
-                let wall_start = WallTimer::start();
-                let task_runs = runs.get_mut(r).map(std::mem::take).unwrap_or_default();
-                let mut cost = TaskCost::new();
-                cost.merge_runs = task_runs.len() as u64;
-                let merged = shuffle::merge_sorted_runs(task_runs);
-                cost.deser_rows = merged.len() as u64;
-                let mut out_rows = Vec::new();
-                shuffle::reduce_sorted(&merged, &**reducer, &mut out_rows)?;
-                match &spec.output {
-                    OutputSpec::Memory => rows.append(&mut out_rows),
-                    OutputSpec::DfsDir(dir) => {
-                        let path = format!("{dir}/part-r-{r:05}");
-                        let payload = rowcodec::write_rows(&out_rows);
-                        cost.output_bytes = payload.len() as u64;
-                        self.dfs.write_file(&path, None, &payload)?;
-                        output_files.push(path);
-                    }
-                }
-                reduce_tasks.push(TaskProfile {
-                    node: *node,
-                    cost,
-                    wall_ns: wall_start.elapsed_ns(),
-                    speculative: false,
-                });
-            }
-        }
-
-        let profile = JobProfile {
-            name: spec.name.clone(),
-            map_tasks,
-            reduce_tasks,
-            map_concurrency: concurrency,
-            shuffle_bytes,
-            client_build_rows: client.build_rows,
-            client_publish_bytes: client.cache.disseminated_bytes(),
-            memory_per_slot: ledger.per_slot(),
-            memory_shared: ledger.shared(),
-            memory_per_slot_fixed: ledger.per_slot_fixed(),
-            memory_shared_fixed: ledger.shared_fixed(),
-            failed_attempts,
-            split_locality: scheduler::locality_fraction(&splits, &assignment),
-            wall_phases,
-            speculative_attempts,
-            speculative_wins,
-            killed_attempts,
-            blacklisted_nodes: blacklisted
-                .iter()
-                .enumerate()
-                .filter(|(_, b)| **b)
-                .map(|(i, _)| NodeId(i))
-                .collect(),
-            dead_nodes,
-            rereplicated_blocks,
-            node_slowdown: match faults {
-                Some(f) if !f.slow_nodes.is_empty() => {
-                    (0..n).map(|i| f.slow_factor(i, n)).collect()
-                }
-                _ => Vec::new(),
-            },
-        };
-        let cost = profile.price(&self.params, &cluster)?;
-        // Result-cache fill: persist this job's output under its fingerprint
-        // so an identical future submission is served without running tasks.
-        if let Some(fp) = fingerprint {
-            self.cache_fill(spec, fp, &splits, &rows, &output_files)?;
-        }
-        let io = io_scope.as_ref().map(|s| s.delta());
-        if publish && self.obs.is_enabled() {
-            let hist = history::job_history(&profile, &cost, &self.params, &cluster);
-            publish_history(&self.obs, &profile, hist, io.as_ref(), false);
-        }
-        Ok((
-            JobResult {
-                rows,
-                output_files,
-                profile,
-                cost,
-                locality,
-                served_from_cache: false,
-                fingerprint,
-            },
-            io,
-        ))
+            .enumerate()
+            .filter(|(_, b)| **b)
+            .map(|(i, _)| NodeId(i))
+            .collect();
+        Ok((tasks, profile))
     }
 
-    /// Materialize a cache hit: read the persisted output back (memory jobs)
-    /// or point downstream readers at the cached files (DFS-dir jobs), with
-    /// a synthetic zero-task profile priced as a sequential DFS read.
-    fn serve_from_cache(
+    /// Shuffle and reduce: partition every map task's sorted run, then each
+    /// reducer merges its runs, reduces, and commits its part. Fills in the
+    /// profile's reduce side.
+    fn reduce_stage(
         &self,
-        spec: &JobSpec,
-        entry: &CacheEntry,
-        cluster: &ClusterSpec,
-        io_scope: &Option<IoScope<'_>>,
-        publish: bool,
-    ) -> Result<(JobResult, Option<IoSnapshot>)> {
-        let mut rows = Vec::new();
-        let mut output_files = Vec::new();
-        match &spec.output {
-            OutputSpec::Memory => {
-                // Each cached file is its own row-binary stream; decode
-                // per-file (a concatenation is not a valid single stream).
-                for p in &entry.output_paths {
-                    let bytes = self.dfs.read_file(p, None)?;
-                    rows.extend(rowcodec::read_rows(&bytes)?);
+        job: &Resolved<'_>,
+        reducer: &dyn Reducer,
+        tasks: &mut [TaskOutput],
+        profile: &mut JobProfile,
+    ) -> Result<Committed> {
+        let num_reducers = job.commit.spec.num_reducers.max(1);
+        type SortedRun = Vec<(Vec<u8>, Row)>;
+        let mut runs: Vec<Vec<SortedRun>> = (0..num_reducers).map(|_| Vec::new()).collect();
+        for t in tasks {
+            let mut per_part: Vec<SortedRun> = (0..num_reducers).map(|_| Vec::new()).collect();
+            for (k, v) in std::mem::take(&mut t.records) {
+                let p = shuffle::partition_of(&k, num_reducers);
+                let bucket = per_part
+                    .get_mut(p)
+                    .ok_or_else(|| ClydeError::MapReduce(format!("partition {p} out of range")))?;
+                profile.shuffle_bytes += (k.len() + v.heap_size()) as u64;
+                bucket.push((k, v));
+            }
+            for (run, dest) in per_part.into_iter().zip(runs.iter_mut()) {
+                if !run.is_empty() {
+                    dest.push(run);
                 }
             }
-            OutputSpec::DfsDir(_) => {
-                // Metadata-only: downstream stages read the cache directory
-                // directly; nothing is copied or re-executed.
-                output_files = entry.output_paths.clone();
-            }
         }
-        let profile = JobProfile {
-            name: spec.name.clone(),
-            map_concurrency: 1,
-            split_locality: 1.0,
-            ..JobProfile::default()
+
+        let cluster = self.dfs.cluster();
+        let n = cluster.num_workers();
+        let mut out = Committed::default();
+        let planned = scheduler::assign_reduce_tasks(num_reducers, cluster);
+        for (r, (planned, task_runs)) in planned.into_iter().zip(runs).enumerate() {
+            // A reducer planned for a node that died mid-job fails over to
+            // the next live node (deterministic round-robin walk).
+            let node = (0..n)
+                .map(|d| NodeId((planned.0 + d) % n))
+                .find(|c| self.dfs.is_node_alive(*c))
+                .unwrap_or(planned);
+            let wall_start = WallTimer::start();
+            let mut cost = TaskCost::new();
+            cost.merge_runs = task_runs.len() as u64;
+            let merged = shuffle::merge_sorted_runs(task_runs);
+            cost.deser_rows = merged.len() as u64;
+            let mut rows = Vec::new();
+            shuffle::reduce_sorted(&merged, reducer, &mut rows)?;
+            job.commit.part('r', r, rows, &mut cost, &mut out)?;
+            profile.reduce_tasks.push(TaskProfile {
+                node,
+                cost,
+                wall_ns: wall_start.elapsed_ns(),
+                speculative: false,
+            });
+        }
+        Ok(out)
+    }
+
+    /// The finish step computed and cache-served jobs share: price, fill
+    /// the result cache (computed jobs only), publish the history, and hand
+    /// back the [`JobResult`].
+    fn finish(
+        &self,
+        job: &Resolved<'_>,
+        hit: Option<&CacheEntry>,
+        out: Committed,
+        profile: JobProfile,
+        io_scope: Option<IoScope<'_>>,
+        publish: bool,
+    ) -> Result<(JobResult, Option<IoSnapshot>)> {
+        let cluster = self.dfs.cluster();
+        let cost = match hit {
+            // Priced as a sequential DFS read of the persisted output.
+            Some(entry) => self.params.cached_read_cost(cluster, entry.bytes),
+            None => {
+                let cost = profile.price(&self.params, cluster)?;
+                // Persist this job's output under its fingerprint so an
+                // identical future submission is served without running tasks.
+                if let Some(fp) = job.fingerprint {
+                    job.commit.fill(fp, &job.splits, &out)?;
+                }
+                cost
+            }
         };
-        let cost = self.params.cached_read_cost(cluster, entry.bytes);
         let io = io_scope.as_ref().map(|s| s.delta());
         if publish && self.obs.is_enabled() {
             let hist = history::job_history(&profile, &cost, &self.params, cluster);
-            publish_history(&self.obs, &profile, hist, io.as_ref(), true);
+            publish_history(&self.obs, &profile, hist, io.as_ref(), hit.is_some());
         }
         Ok((
             JobResult {
-                rows,
-                output_files,
+                rows: out.rows,
+                output_files: out.files,
+                locality: profile.scan_locality(),
                 profile,
                 cost,
-                locality: 1.0,
-                served_from_cache: true,
-                fingerprint: Some(entry.fingerprint),
+                served_from_cache: hit.is_some(),
+                fingerprint: job.fingerprint,
             },
             io,
         ))
-    }
-
-    /// Persist a finished job's output into the result cache. The catalog
-    /// admits (or refuses) the entry first — evicting LRU entries and
-    /// deleting their backing files — and only an admitted entry's bytes are
-    /// written under `/cache/{fingerprint}/`.
-    fn cache_fill(
-        &self,
-        spec: &JobSpec,
-        fp: u64,
-        splits: &[InputSplit],
-        rows: &[Row],
-        output_files: &[String],
-    ) -> Result<()> {
-        let dir = format!("/cache/{fp:016x}");
-        // Lineage-fingerprinted stages record no input paths: their inputs
-        // are per-run tmp files, and coherence rides the fingerprint chain
-        // (a base-stage change re-fingerprints every downstream stage).
-        let input_paths = if spec.lineage.is_some() {
-            Vec::new()
-        } else {
-            crate::fingerprint::input_paths(splits)
-        };
-        match &spec.output {
-            OutputSpec::Memory => {
-                let payload = rowcodec::write_rows(rows);
-                let path = format!("{dir}/rows.bin");
-                let admitted = self.dfs.cache_insert(CacheEntry {
-                    fingerprint: fp,
-                    output_paths: vec![path.clone()],
-                    bytes: payload.len() as u64,
-                    memory_rows: Some(rows.len() as u64),
-                    input_paths,
-                    last_used: 0,
-                    pinned: false,
-                })?;
-                if admitted {
-                    self.dfs.write_file(&path, None, &payload)?;
-                }
-            }
-            OutputSpec::DfsDir(_) => {
-                let mut paths = Vec::with_capacity(output_files.len());
-                let mut bytes = 0u64;
-                for src in output_files {
-                    let name = src.rsplit('/').next().unwrap_or(src);
-                    paths.push(format!("{dir}/{name}"));
-                    bytes += self.dfs.file_len(src)?;
-                }
-                let admitted = self.dfs.cache_insert(CacheEntry {
-                    fingerprint: fp,
-                    output_paths: paths.clone(),
-                    bytes,
-                    memory_rows: None,
-                    input_paths,
-                    last_used: 0,
-                    pinned: false,
-                })?;
-                if admitted {
-                    for (src, dst) in output_files.iter().zip(&paths) {
-                        let data = self.dfs.read_file(src, None)?;
-                        self.dfs.write_file(dst, None, &data)?;
-                    }
-                }
-            }
-        }
-        Ok(())
     }
 }
 
@@ -1497,6 +1532,87 @@ mod tests {
         );
         // Wasted backup work is priced: the faulty run costs more map time.
         assert!(faulty.cost.map_s > clean.cost.map_s);
+    }
+
+    /// Simulated durations of the committed map attempts, slow-node
+    /// multipliers included, and the straggler threshold the detector uses.
+    fn straggler_clock(engine: &Engine, result: &JobResult, slowdown: f64) -> (Vec<f64>, f64) {
+        let cluster = engine.dfs().cluster();
+        let p = &result.profile;
+        let durs: Vec<f64> = p
+            .map_tasks
+            .iter()
+            .map(|t| {
+                engine
+                    .params()
+                    .map_task_duration(cluster, &t.cost, p.map_concurrency)
+                    * p.node_slowdown.get(t.node.0).copied().unwrap_or(1.0)
+            })
+            .collect();
+        let mut sorted = durs.clone();
+        sorted.sort_by(f64::total_cmp);
+        (durs, slowdown * sorted[sorted.len() / 2])
+    }
+
+    #[test]
+    fn slow_node_backup_that_loses_the_race_is_killed() {
+        let clean = Engine::new(Dfs::for_tests(3))
+            .run_job(&wide_sum(None))
+            .unwrap();
+        // A 2x straggler crosses the 1.5x threshold, but a backup launched
+        // at 1.5x plus a full clean attempt finishes after the original.
+        let mut plan = FaultPlan::new(46);
+        plan.slow_nodes = vec![(1, 2.0)];
+        let engine = Engine::new(Dfs::for_tests(3));
+        let faulty = engine.run_job(&wide_sum(Some(plan))).unwrap();
+        assert_eq!(faulty.rows, clean.rows);
+        let p = &faulty.profile;
+        assert_eq!(p.speculative_attempts, 1);
+        assert_eq!(p.speculative_wins, 0);
+        assert!(p.map_tasks.iter().all(|t| !t.speculative));
+        assert_eq!(p.map_tasks[1].node, NodeId(1), "the original commits");
+        let (durs, threshold) = straggler_clock(&engine, &faulty, 1.5);
+        assert_eq!(p.killed_attempts.len(), 1);
+        let killed = &p.killed_attempts[0];
+        assert_eq!(killed.task, 1);
+        assert_eq!(
+            killed.node,
+            NodeId(0),
+            "the backup ran on the fastest other node"
+        );
+        assert!((killed.busy_s - (durs[1] - threshold)).abs() < 1e-9);
+        assert!(faulty.cost.map_s > clean.cost.map_s);
+    }
+
+    #[test]
+    fn failed_backup_attempt_leaves_the_original_standing() {
+        /// Fails `open` for the straggler's split on the backup node only.
+        struct FailOnBackup(VecInputFormat);
+        impl InputFormat for FailOnBackup {
+            fn splits(&self, dfs: &Dfs, conf: &JobConf) -> Result<Vec<InputSplit>> {
+                self.0.splits(dfs, conf)
+            }
+            fn open(&self, split: &InputSplit, part: usize, io: &TaskIo) -> Result<Reader> {
+                if split.index == 1 && io.node == Some(NodeId(0)) {
+                    return Err(ClydeError::MapReduce("backup node cannot read".into()));
+                }
+                self.0.open(split, part, io)
+            }
+        }
+
+        let clean = Engine::new(Dfs::for_tests(3))
+            .run_job(&wide_sum(None))
+            .unwrap();
+        let mut spec = sum_job(Arc::new(FailOnBackup(VecInputFormat::new(wide_rows(), 3))));
+        spec.faults = FaultPlan::named("slow-node", 46).map(Arc::new);
+        let faulty = Engine::new(Dfs::for_tests(3)).run_job(&spec).unwrap();
+        assert_eq!(faulty.rows, clean.rows);
+        let p = &faulty.profile;
+        assert_eq!(p.speculative_attempts, 1);
+        assert_eq!(p.speculative_wins, 0);
+        assert_eq!(p.failed_attempts, 1, "the failed backup is counted");
+        assert!(p.killed_attempts.is_empty());
+        assert_eq!(p.map_tasks[1].node, NodeId(1));
     }
 
     #[test]

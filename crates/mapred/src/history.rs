@@ -8,14 +8,14 @@
 //! for skewed sets the stage spans show the priced makespan while the lanes
 //! show the realized schedule.
 
-use crate::cost::{CostParams, JobCost};
+use crate::cost::{CostParams, JobCost, TaskCost};
 use crate::job::JobProfile;
-use crate::scheduler::JobSchedule;
+use crate::scheduler::{JobSchedule, Placement};
 use clyde_common::obs::{JobHistory, PhaseSlice, TaskKind, TaskLane};
 use clyde_dfs::ClusterSpec;
 
-/// Earliest-free-slot schedule: returns (slot, start) for each task duration
-/// presented in order on one node whose slots all free up at `t0`.
+/// Earliest-free-slot schedule: places each task duration presented in
+/// order on one node whose slots all free up at `t0`.
 struct NodeSlots {
     free_at: Vec<f64>,
 }
@@ -27,7 +27,7 @@ impl NodeSlots {
         }
     }
 
-    fn place(&mut self, dur: f64) -> (u32, f64) {
+    fn place(&mut self, task: usize, node: usize, dur: f64) -> Placement {
         let (slot, _) = self
             .free_at
             .iter()
@@ -40,18 +40,126 @@ impl NodeSlots {
             .expect("at least one slot");
         let start = self.free_at[slot];
         self.free_at[slot] = start + dur;
-        (slot as u32, start)
+        Placement {
+            task,
+            node,
+            slot: slot as u32,
+            start_s: start,
+            dur_s: dur,
+        }
     }
 }
 
-fn shift(phases: Vec<PhaseSlice>, start: f64) -> Vec<PhaseSlice> {
-    phases
-        .into_iter()
-        .map(|p| PhaseSlice {
-            start_s: p.start_s + start,
-            ..p
-        })
-        .collect()
+/// Where a job's tasks ran and how its stage bands are framed on the
+/// timeline the history is drawn on.
+struct Timeline<'a> {
+    tenant: &'a str,
+    t0_s: f64,
+    map_s: f64,
+    reduce_s: f64,
+    map: &'a [Placement],
+    /// Placements of `profile.killed_attempts`, in order.
+    killed: &'a [Placement],
+    reduce: &'a [Placement],
+}
+
+/// One swimlane: a task at its placement, with its counters and its priced
+/// phases shifted to the placement's start.
+fn lane(
+    kind: TaskKind,
+    p: &Placement,
+    cost: &TaskCost,
+    wall_ns: u64,
+    speculative: bool,
+    phases: Vec<PhaseSlice>,
+) -> TaskLane {
+    TaskLane {
+        index: p.task,
+        kind,
+        node: p.node,
+        slot: p.slot,
+        start_s: p.start_s,
+        dur_s: p.dur_s,
+        local_bytes: cost.local_bytes,
+        remote_bytes: cost.remote_bytes,
+        emit_records: cost.emit_records,
+        emit_bytes: cost.emit_bytes,
+        wall_ns,
+        speculative,
+        phases: phases
+            .into_iter()
+            .map(|ph| PhaseSlice {
+                start_s: ph.start_s + p.start_s,
+                ..ph
+            })
+            .collect(),
+    }
+}
+
+/// Assemble a history from a timeline: map lanes, then killed-attempt
+/// lanes, then reduce lanes, plus the combiner/merge/locality roll-ups.
+fn history(
+    profile: &JobProfile,
+    cost: &JobCost,
+    params: &CostParams,
+    cluster: &ClusterSpec,
+    tl: Timeline<'_>,
+) -> JobHistory {
+    let concurrency = profile.map_concurrency.max(1);
+    let mut tasks: Vec<TaskLane> =
+        Vec::with_capacity(tl.map.len() + tl.killed.len() + tl.reduce.len());
+    for p in tl.map {
+        let t = &profile.map_tasks[p.task];
+        let phases = params.map_task_phases(cluster, &t.cost, concurrency);
+        tasks.push(lane(
+            TaskKind::Map,
+            p,
+            &t.cost,
+            t.wall_ns,
+            t.speculative,
+            phases,
+        ));
+    }
+    for (p, k) in tl.killed.iter().zip(&profile.killed_attempts) {
+        tasks.push(lane(TaskKind::Map, p, &k.cost, 0, true, Vec::new()));
+    }
+    for p in tl.reduce {
+        let t = &profile.reduce_tasks[p.task];
+        let phases = params.reduce_task_phases(cluster, &t.cost);
+        tasks.push(lane(TaskKind::Reduce, p, &t.cost, t.wall_ns, false, phases));
+    }
+
+    let total_map = profile.total_map_cost();
+    let total_reduce = profile.total_reduce_cost();
+    JobHistory {
+        name: profile.name.clone(),
+        tenant: tl.tenant.to_string(),
+        t0_s: tl.t0_s,
+        setup_s: cost.setup_s,
+        map_s: tl.map_s,
+        shuffle_s: cost.shuffle_s,
+        reduce_s: tl.reduce_s,
+        overhead_s: cost.overhead_s,
+        map_concurrency: concurrency,
+        shuffle_bytes: profile.shuffle_bytes,
+        merge_runs: total_reduce.merge_runs,
+        combine_input_records: total_map.combine_input_records,
+        combine_output_records: total_map.combine_output_records,
+        locality: profile.scan_locality(),
+        split_locality: profile.split_locality,
+        failed_attempts: profile.failed_attempts,
+        speculative_attempts: profile.speculative_attempts,
+        speculative_wins: profile.speculative_wins,
+        blacklisted_nodes: profile.blacklisted_nodes.len() as u32,
+        dead_nodes: profile.dead_nodes.len() as u32,
+        rereplicated_blocks: profile.rereplicated_blocks,
+        wall_phases: profile.wall_phases.clone(),
+        // Per-job I/O is attributed by the engine after pricing (it owns the
+        // DFS scope); histories start with an empty snapshot.
+        io: Vec::new(),
+        corrupt_reads: 0,
+        tasks,
+    }
 }
 
 /// Assemble the full job history: task swimlanes with phase slices, stage
@@ -69,114 +177,54 @@ pub fn job_history(
     let mut map_slots: Vec<NodeSlots> = (0..n)
         .map(|_| NodeSlots::new(concurrency, cost.setup_s))
         .collect();
-    let mut tasks: Vec<TaskLane> =
-        Vec::with_capacity(profile.map_tasks.len() + profile.reduce_tasks.len());
-    for (i, t) in profile.map_tasks.iter().enumerate() {
-        let node = t.node.0 % n;
-        let dur = params.map_task_duration(cluster, &t.cost, concurrency);
-        let (slot, start) = map_slots[node].place(dur);
-        tasks.push(TaskLane {
-            index: i,
-            kind: TaskKind::Map,
-            node,
-            slot,
-            start_s: start,
-            dur_s: dur,
-            local_bytes: t.cost.local_bytes,
-            remote_bytes: t.cost.remote_bytes,
-            emit_records: t.cost.emit_records,
-            emit_bytes: t.cost.emit_bytes,
-            wall_ns: t.wall_ns,
-            speculative: t.speculative,
-            phases: shift(params.map_task_phases(cluster, &t.cost, concurrency), start),
-        });
-    }
-
+    let map: Vec<Placement> = profile
+        .map_tasks
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let node = t.node.0 % n;
+            let dur = params.map_task_duration(cluster, &t.cost, concurrency);
+            map_slots[node].place(i, node, dur)
+        })
+        .collect();
     // Killed attempts (speculative losers) occupied real map slots until the
     // commit race was decided; lay them out after the committed lanes so the
     // swimlane view shows the wasted occupancy.
-    for k in &profile.killed_attempts {
-        let node = k.node.0 % n;
-        let (slot, start) = map_slots[node].place(k.busy_s);
-        tasks.push(TaskLane {
-            index: k.task,
-            kind: TaskKind::Map,
-            node,
-            slot,
-            start_s: start,
-            dur_s: k.busy_s,
-            local_bytes: k.cost.local_bytes,
-            remote_bytes: k.cost.remote_bytes,
-            emit_records: k.cost.emit_records,
-            emit_bytes: k.cost.emit_bytes,
-            wall_ns: 0,
-            speculative: true,
-            phases: Vec::new(),
-        });
-    }
+    let killed: Vec<Placement> = profile
+        .killed_attempts
+        .iter()
+        .map(|k| {
+            let node = k.node.0 % n;
+            map_slots[node].place(k.task, node, k.busy_s)
+        })
+        .collect();
 
     // Reduce lanes start once the map phase and the shuffle complete.
     let t_reduce = cost.setup_s + cost.map_s + cost.shuffle_s;
     let mut reduce_slots: Vec<NodeSlots> = (0..n)
         .map(|_| NodeSlots::new(cluster.reduce_slots, t_reduce))
         .collect();
-    for (i, t) in profile.reduce_tasks.iter().enumerate() {
-        let node = t.node.0 % n;
-        let dur = params.reduce_task_duration(cluster, &t.cost);
-        let (slot, start) = reduce_slots[node].place(dur);
-        tasks.push(TaskLane {
-            index: i,
-            kind: TaskKind::Reduce,
-            node,
-            slot,
-            start_s: start,
-            dur_s: dur,
-            local_bytes: t.cost.local_bytes,
-            remote_bytes: t.cost.remote_bytes,
-            emit_records: t.cost.emit_records,
-            emit_bytes: t.cost.emit_bytes,
-            wall_ns: t.wall_ns,
-            speculative: false,
-            phases: shift(params.reduce_task_phases(cluster, &t.cost), start),
-        });
-    }
+    let reduce: Vec<Placement> = profile
+        .reduce_tasks
+        .iter()
+        .enumerate()
+        .map(|(i, t)| {
+            let node = t.node.0 % n;
+            let dur = params.reduce_task_duration(cluster, &t.cost);
+            reduce_slots[node].place(i, node, dur)
+        })
+        .collect();
 
-    let total_map = profile.total_map_cost();
-    let total_reduce = profile.total_reduce_cost();
-    let scanned = total_map.local_bytes + total_map.remote_bytes;
-    JobHistory {
-        name: profile.name.clone(),
-        tenant: String::new(),
+    let tl = Timeline {
+        tenant: "",
         t0_s: 0.0,
-        setup_s: cost.setup_s,
         map_s: cost.map_s,
-        shuffle_s: cost.shuffle_s,
         reduce_s: cost.reduce_s,
-        overhead_s: cost.overhead_s,
-        map_concurrency: concurrency,
-        shuffle_bytes: profile.shuffle_bytes,
-        merge_runs: total_reduce.merge_runs,
-        combine_input_records: total_map.combine_input_records,
-        combine_output_records: total_map.combine_output_records,
-        locality: if scanned == 0 {
-            1.0
-        } else {
-            total_map.local_bytes as f64 / scanned as f64
-        },
-        split_locality: profile.split_locality,
-        failed_attempts: profile.failed_attempts,
-        speculative_attempts: profile.speculative_attempts,
-        speculative_wins: profile.speculative_wins,
-        blacklisted_nodes: profile.blacklisted_nodes.len() as u32,
-        dead_nodes: profile.dead_nodes.len() as u32,
-        rereplicated_blocks: profile.rereplicated_blocks,
-        wall_phases: profile.wall_phases.clone(),
-        // Per-job I/O is attributed by the engine after pricing (it owns the
-        // DFS scope); histories start with an empty snapshot.
-        io: Vec::new(),
-        corrupt_reads: 0,
-        tasks,
-    }
+        map: &map,
+        killed: &killed,
+        reduce: &reduce,
+    };
+    history(profile, cost, params, cluster, tl)
 }
 
 /// Assemble a job history from a *multi-job schedule*: task lanes are taken
@@ -196,83 +244,16 @@ pub fn job_history_scheduled(
     arrival_s: f64,
     sched: &JobSchedule,
 ) -> JobHistory {
-    let concurrency = profile.map_concurrency.max(1);
-    let mut tasks: Vec<TaskLane> =
-        Vec::with_capacity(profile.map_tasks.len() + profile.reduce_tasks.len());
-    for p in &sched.map {
-        let t = &profile.map_tasks[p.task];
-        tasks.push(TaskLane {
-            index: p.task,
-            kind: TaskKind::Map,
-            node: p.node,
-            slot: p.slot,
-            start_s: p.start_s,
-            dur_s: p.dur_s,
-            local_bytes: t.cost.local_bytes,
-            remote_bytes: t.cost.remote_bytes,
-            emit_records: t.cost.emit_records,
-            emit_bytes: t.cost.emit_bytes,
-            wall_ns: t.wall_ns,
-            speculative: t.speculative,
-            phases: shift(
-                params.map_task_phases(cluster, &t.cost, concurrency),
-                p.start_s,
-            ),
-        });
-    }
-    for p in &sched.reduce {
-        let t = &profile.reduce_tasks[p.task];
-        tasks.push(TaskLane {
-            index: p.task,
-            kind: TaskKind::Reduce,
-            node: p.node,
-            slot: p.slot,
-            start_s: p.start_s,
-            dur_s: p.dur_s,
-            local_bytes: t.cost.local_bytes,
-            remote_bytes: t.cost.remote_bytes,
-            emit_records: t.cost.emit_records,
-            emit_bytes: t.cost.emit_bytes,
-            wall_ns: t.wall_ns,
-            speculative: false,
-            phases: shift(params.reduce_task_phases(cluster, &t.cost), p.start_s),
-        });
-    }
-
-    let total_map = profile.total_map_cost();
-    let total_reduce = profile.total_reduce_cost();
-    let scanned = total_map.local_bytes + total_map.remote_bytes;
-    JobHistory {
-        name: profile.name.clone(),
-        tenant: tenant.to_string(),
+    let tl = Timeline {
+        tenant,
         t0_s: arrival_s,
-        setup_s: cost.setup_s,
         map_s: (sched.map_end_s - arrival_s - cost.setup_s).max(0.0),
-        shuffle_s: cost.shuffle_s,
         reduce_s: (sched.reduce_end_s - sched.map_end_s - cost.shuffle_s).max(0.0),
-        overhead_s: cost.overhead_s,
-        map_concurrency: concurrency,
-        shuffle_bytes: profile.shuffle_bytes,
-        merge_runs: total_reduce.merge_runs,
-        combine_input_records: total_map.combine_input_records,
-        combine_output_records: total_map.combine_output_records,
-        locality: if scanned == 0 {
-            1.0
-        } else {
-            total_map.local_bytes as f64 / scanned as f64
-        },
-        split_locality: profile.split_locality,
-        failed_attempts: profile.failed_attempts,
-        speculative_attempts: profile.speculative_attempts,
-        speculative_wins: profile.speculative_wins,
-        blacklisted_nodes: profile.blacklisted_nodes.len() as u32,
-        dead_nodes: profile.dead_nodes.len() as u32,
-        rereplicated_blocks: profile.rereplicated_blocks,
-        wall_phases: profile.wall_phases.clone(),
-        io: Vec::new(),
-        corrupt_reads: 0,
-        tasks,
-    }
+        map: &sched.map,
+        killed: &[],
+        reduce: &sched.reduce,
+    };
+    history(profile, cost, params, cluster, tl)
 }
 
 #[cfg(test)]

@@ -190,6 +190,18 @@ impl JobProfile {
             .fold(TaskCost::new(), |acc, t| acc.merge(&t.cost))
     }
 
+    /// Fraction of scanned map-input bytes read from a local replica (1.0
+    /// when nothing was scanned).
+    pub fn scan_locality(&self) -> f64 {
+        let total = self.total_map_cost();
+        let scanned = total.local_bytes + total.remote_bytes;
+        if scanned == 0 {
+            1.0
+        } else {
+            total.local_bytes as f64 / scanned as f64
+        }
+    }
+
     /// Price this profile on a cluster. Errors with `OutOfMemory` when the
     /// per-slot memory duplication exceeds node RAM — the paper's cluster-A
     /// mapjoin failure mode (Section 6.4).
