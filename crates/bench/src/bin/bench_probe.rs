@@ -18,7 +18,8 @@
 //! scalar/vectorized ratios**, which cancels machine-wide frequency drift
 //! out of the number the gate checks.
 
-use clyde_common::obs::json::{self, Json};
+use clyde_bench::cli::{Args, Flag};
+use clyde_bench::gate::Gate;
 use clyde_common::obs::WallTimer;
 use clyde_common::{FxHashMap, RowBlock, RowBlockBuilder};
 use clyde_ssb::gen::SsbGen;
@@ -246,25 +247,12 @@ fn bench_query(fx: &QueryFixture) -> QueryResult {
     }
 }
 
-/// The committed `queries.<qid>.speedup` of a parsed benchmark JSON.
-fn recorded_speedup(committed: &Json, qid: &str) -> Result<f64, String> {
-    json::number_at(committed, &["queries", qid, "speedup"])
-}
-
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let sf: f64 = args
-        .first()
-        .filter(|a| !a.starts_with("--"))
-        .and_then(|a| a.parse().ok())
-        .unwrap_or(0.01);
-    let flag_path = |flag: &str| {
-        args.iter()
-            .position(|a| a == flag)
-            .and_then(|i| args.get(i + 1).cloned())
-    };
-    let json_path = flag_path("--json");
-    let gate_path = flag_path("--gate");
+    let args = Args::parse(
+        "bench_probe",
+        &[Flag::Value("--json", "path"), Flag::Value("--gate", "path")],
+    );
+    let sf = args.sf_or(0.01);
 
     eprintln!("generating SSB at SF {sf}...");
     let data = SsbGen::new(sf, 46).gen_all();
@@ -288,7 +276,7 @@ fn main() {
         results.push(r);
     }
 
-    if let Some(path) = json_path {
+    if let Some(path) = args.value("--json") {
         let mut out = String::new();
         out.push_str(&format!(
             "{{\n  \"sf\": {sf},\n  \"block_rows\": {ROWS_PER_BLOCK},\n  \"queries\": {{\n"
@@ -308,61 +296,28 @@ fn main() {
             out.push_str(&format!("      }}\n    }}{comma}\n"));
         }
         out.push_str("  }\n}\n");
-        std::fs::write(&path, out).expect("write json");
+        std::fs::write(path, out).expect("write json");
         eprintln!("wrote {path}");
     }
 
-    if let Some(path) = gate_path {
-        let committed =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("gate file {path}: {e}"));
-        let committed = json::parse(&committed).unwrap_or_else(|e| {
-            eprintln!("bench gate FAILED: {path} is not valid JSON: {e}");
-            std::process::exit(1);
-        });
-        let mut failed = false;
+    if let Some(path) = args.value("--gate") {
+        let mut gate = Gate::open(path);
         for r in &results {
-            let recorded = match recorded_speedup(&committed, r.qid) {
-                Ok(v) => v,
-                Err(e) => {
-                    eprintln!("gate: {path}: {e}");
-                    failed = true;
-                    continue;
-                }
-            };
-            let floor = recorded * 0.9;
-            let ok = r.speedup >= floor;
-            eprintln!(
-                "gate {}: measured {:.2}x vs recorded {recorded:.2}x (floor {floor:.2}x) — {}",
-                r.qid,
+            gate.recorded(
+                &format!("{} speedup", r.qid),
                 r.speedup,
-                if ok { "ok" } else { "FAIL" }
+                0.9,
+                &["queries", r.qid, "speedup"],
             );
-            failed |= !ok;
         }
-        if failed {
-            eprintln!("bench gate FAILED: probe kernel regressed");
-            std::process::exit(1);
-        }
-        eprintln!("bench gate passed");
+        gate.finish("bench");
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn recorded_speedup_reads_only_its_own_query() {
-        let doc = json::parse(
-            r#"{"queries": {"Q1.1": {"probes": 7821},
-                            "Q2.1": {"speedup": 4.86}}}"#,
-        )
-        .unwrap();
-        assert_eq!(recorded_speedup(&doc, "Q2.1"), Ok(4.86));
-        let err = recorded_speedup(&doc, "Q1.1").unwrap_err();
-        assert!(err.contains("queries.Q1.1.speedup"), "{err}");
-        assert!(recorded_speedup(&doc, "Q3.2").is_err());
-    }
+    use clyde_common::obs::json::{self, Json};
 
     #[test]
     fn committed_baseline_matches_the_suite() {
@@ -375,7 +330,8 @@ mod tests {
             };
             let labels: Vec<&str> = ablations.iter().map(|(l, _)| l.as_str()).collect();
             assert_eq!(labels, expect, "{qid}");
-            assert!(recorded_speedup(&doc, qid).unwrap() > 1.0, "{qid}");
+            let speedup = json::number_at(&doc, &["queries", qid, "speedup"]).unwrap();
+            assert!(speedup > 1.0, "{qid}");
         }
     }
 }

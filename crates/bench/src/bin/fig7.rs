@@ -6,6 +6,7 @@
 //! the calibrated cost model. With `--trace`, every measured job's timeline
 //! is written as Perfetto-loadable Chrome trace JSON.
 
+use clyde_bench::cli::{self, Args};
 use clyde_bench::harness::{
     fault_impact, measure_with_obs, Extrapolator, MeasureWhat, MeasurementConfig,
 };
@@ -16,8 +17,8 @@ use clyde_hive::JoinStrategy;
 use std::sync::Arc;
 
 fn main() {
-    let args = clyde_bench::cli::parse("fig7", 0.02);
-    let sf = args.sf;
+    let args = Args::parse("fig7", &[cli::TRACE, cli::FAULTS]);
+    let sf = args.sf_or(0.02);
     let obs = args.obs();
     let config = MeasurementConfig {
         sf,
@@ -99,7 +100,7 @@ fn main() {
             .collect::<Vec<_>>()
     );
 
-    if let Some(seed) = args.faults {
+    if let Some(seed) = args.int("--faults") {
         eprintln!("\nre-running all 13 queries under the `combined` fault plan (seed {seed})...");
         let impacts = fault_impact(&config, seed).expect("fault impact run failed");
         println!(

@@ -6,6 +6,7 @@
 //! because per-node work is smaller while hash-table builds and scheduling
 //! overheads stay constant, and the mapjoin plans complete (32 GB nodes).
 
+use clyde_bench::cli::{self, Args};
 use clyde_bench::harness::{
     fault_impact, measure_with_obs, Extrapolator, MeasureWhat, MeasurementConfig,
 };
@@ -16,8 +17,8 @@ use clyde_hive::JoinStrategy;
 use std::sync::Arc;
 
 fn main() {
-    let args = clyde_bench::cli::parse("fig8", 0.02);
-    let sf = args.sf;
+    let args = Args::parse("fig8", &[cli::TRACE, cli::FAULTS]);
+    let sf = args.sf_or(0.02);
     let obs = args.obs();
     let config = MeasurementConfig {
         sf,
@@ -92,7 +93,7 @@ fn main() {
     );
     println!("mapjoin OOM failures (paper: none on cluster B): {ooms:?}");
 
-    if let Some(seed) = args.faults {
+    if let Some(seed) = args.int("--faults") {
         eprintln!("\nre-running all 13 queries under the `combined` fault plan (seed {seed})...");
         let impacts = fault_impact(&config, seed).expect("fault impact run failed");
         println!(

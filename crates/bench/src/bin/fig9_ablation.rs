@@ -8,6 +8,7 @@
 //! ≈ 3.4x average (flight 2 ≈ 3.8x, flight 4 ≈ 2.0x); multithreading off
 //! ≈ 2.4x average (flight 1 ≈ 1.2x, flight 4 ≈ 4.5x).
 
+use clyde_bench::cli::{self, Args};
 use clyde_bench::harness::{
     measure_with_obs, Ablation, Extrapolator, MeasureWhat, MeasurementConfig,
 };
@@ -17,8 +18,8 @@ use clyde_dfs::ClusterSpec;
 use std::sync::Arc;
 
 fn main() {
-    let args = clyde_bench::cli::parse("fig9_ablation", 0.02);
-    let sf = args.sf;
+    let args = Args::parse("fig9_ablation", &[cli::TRACE]);
+    let sf = args.sf_or(0.02);
     let obs = args.obs();
     let config = MeasurementConfig {
         sf,

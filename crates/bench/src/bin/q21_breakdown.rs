@@ -15,6 +15,7 @@
 //!
 //! [`JobHistory`]: clyde_common::obs::JobHistory
 
+use clyde_bench::cli::{self, Args};
 use clyde_bench::harness::{measure_with_obs, Extrapolator, MeasureWhat, MeasurementConfig};
 use clyde_bench::paper::cluster_a::q21;
 use clyde_bench::report::{render_table, secs};
@@ -26,8 +27,8 @@ use clyde_mapred::job_history;
 use std::sync::Arc;
 
 fn main() {
-    let args = clyde_bench::cli::parse("q21_breakdown", 0.02);
-    let sf = args.sf;
+    let args = Args::parse("q21_breakdown", &[cli::TRACE]);
+    let sf = args.sf_or(0.02);
     // The breakdown below is derived from spans, so this binary always
     // records; `--trace` additionally writes the span log out.
     let obs = Obs::enabled();

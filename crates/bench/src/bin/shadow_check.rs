@@ -34,11 +34,11 @@
 //! query's rows (cold and warm), the served-from-cache spans in the trace,
 //! and the `cache.*` hit/miss/evict/bytes metrics.
 
+use clyde_bench::cli::{Args, Flag};
 use clyde_bench::harness::{measurement_cluster, MeasurementConfig};
 use clyde_bench::{restore, workload};
 use clyde_common::{Obs, Result};
 use clyde_dfs::{ColocatingPlacement, Dfs, DfsOptions};
-use clyde_mapred::SchedPolicy;
 use clyde_ssb::gen::SsbGen;
 use clyde_ssb::loader::{self, SsbLayout};
 use clyde_ssb::queries::StarQuery;
@@ -119,7 +119,7 @@ fn run_workload_once(config: &MeasurementConfig, host_threads: Option<u32>) -> R
     let clyde =
         workload::build_clyde(config.sf, config.seed, Some(Arc::clone(&obs)), host_threads)?;
     let arrivals = workload::scenario(config.seed);
-    let run = workload::run_policy(&clyde, &arrivals, SchedPolicy::Fair)?;
+    let run = workload::run_policy(&clyde, &arrivals, &workload::FAIR)?;
     let mut results = Vec::new();
     for s in &run.served {
         results.extend_from_slice(&clyde_common::rowcodec::write_rows(&s.rows));
@@ -180,73 +180,53 @@ fn diff(label: &str, want: &Artifacts, got: &Artifacts) -> bool {
     ok
 }
 
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!(
-        "usage: shadow_check [measurement-sf] [--seed <n>] [--queries <id,id,...>] \
-         [--workload] [--restore]"
-    );
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
-
 /// Host thread counts to force through `MtMapRunner`. The cost model prices
 /// with the cluster's map slots regardless, so artifacts must not move.
 const THREAD_COUNTS: [u32; 3] = [1, 2, 8];
 
 fn main() -> ExitCode {
+    let args = Args::parse(
+        "shadow_check",
+        &[
+            Flag::Int("--seed"),
+            Flag::Value("--queries", "id,id,..."),
+            Flag::Switch("--workload"),
+            Flag::Switch("--restore"),
+        ],
+    );
+    let workload_mode = args.switch("--workload");
+    let restore_mode = args.switch("--restore");
     let mut config = MeasurementConfig {
-        sf: 0.008,
+        // The workload and restore modes replay the full 31-job stream per
+        // run, so they default to the workload bench's own scale factor.
+        sf: args.sf_or(if workload_mode || restore_mode {
+            0.005
+        } else {
+            0.008
+        }),
         validate: false,
         ..MeasurementConfig::default()
     };
-    let mut query_ids = vec!["Q1.1".to_string(), "Q2.1".to_string()];
-    let mut workload_mode = false;
-    let mut restore_mode = false;
-    let mut sf_given = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(s) => config.seed = s,
-                None => usage("--seed needs an integer"),
-            },
-            "--queries" => match args.next() {
-                Some(list) => query_ids = list.split(',').map(|s| s.trim().to_string()).collect(),
-                None => usage("--queries needs a comma-separated list"),
-            },
-            "--workload" => workload_mode = true,
-            "--restore" => restore_mode = true,
-            "--help" | "-h" => usage(""),
-            other => match other.parse::<f64>() {
-                Ok(v) if v > 0.0 => {
-                    config.sf = v;
-                    sf_given = true;
-                }
-                _ => usage(&format!("unrecognized argument `{other}`")),
-            },
-        }
+    if let Some(seed) = args.int("--seed") {
+        config.seed = seed;
     }
-
-    if workload_mode || restore_mode {
-        // These modes replay the full 31-job stream per run; default to
-        // the workload bench's own scale factor unless one was given
-        // explicitly.
-        if !sf_given {
-            config.sf = 0.005;
-        }
-        return if restore_mode {
-            check_restore(&config)
-        } else {
-            check_workload(&config)
-        };
+    if restore_mode {
+        return check_restore(&config);
     }
+    if workload_mode {
+        return check_workload(&config);
+    }
+    let query_ids: Vec<&str> = args
+        .value("--queries")
+        .map_or(vec!["Q1.1", "Q2.1"], |list| {
+            list.split(',').map(str::trim).collect()
+        });
 
     let mut failed = false;
     for id in &query_ids {
         let Ok(query) = query_by_id(id) else {
-            usage(&format!("unknown query `{id}`"));
+            eprintln!("error: unknown query `{id}`");
+            return ExitCode::from(2);
         };
         let baseline = match run_once(&config, &query, None) {
             Ok(a) => a,

@@ -1,66 +1,40 @@
-//! Replay the seeded mixed-tenant workload under every scheduling policy
-//! and report throughput plus per-tenant latency percentiles.
+//! Replay the seeded mixed-tenant workload as `fifo`, `fair` and
+//! `capacity` (the fair policy with tenant weights) and report throughput
+//! plus per-tenant latency percentiles.
 //!
-//! Usage: `workload [SF] [--seed <n>] [--json PATH] [--report PATH] [--gate PATH]`
-//! (default SF 0.005, seed 46).
+//! Usage: `workload [SF] [--seed <n>] [--json PATH] [--report PATH]
+//! [--gate PATH] [--dump]` (default SF 0.005, seed 46).
 //!
 //! * `--json PATH` writes the runs as the committed-gate JSON document
 //!   (see `BENCH_workload.json` at the repo root for a committed run).
 //! * `--report PATH` writes the human-readable latency report (uploaded
-//!   as the CI `workload-gate` artifact).
+//!   as the CI `workload-restore-gate` artifact).
 //! * `--gate PATH` reads a committed run and **fails (exit 1)** unless
 //!   fair scheduling beats FIFO on the starved tenant's p99 and every
-//!   policy's throughput stays within 0.95x of its committed value.
+//!   run's throughput stays within 0.95x of its committed value.
+//! * `--dump` prints every served job's timeline to stderr.
 //!
 //! Query execution is real; the multi-job timeline is deterministic
 //! simulated time, so the reported numbers are byte-stable across reruns
 //! and machines.
 
-use clyde_bench::workload;
-use clyde_mapred::SchedPolicy;
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!("usage: workload [SF] [--seed <n>] [--json PATH] [--report PATH] [--gate PATH]");
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
+use clyde_bench::cli::{Args, Flag};
+use clyde_bench::gate::Gate;
+use clyde_bench::workload::{self, FAIR, FIFO, REPLAYS};
 
 fn main() {
-    let mut sf = 0.005;
-    let mut seed = 46u64;
-    let mut json_path = None;
-    let mut report_path = None;
-    let mut gate_path = None;
-    let mut dump = false;
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(s) => seed = s,
-                None => usage("--seed needs an integer"),
-            },
-            "--json" => match args.next() {
-                Some(p) => json_path = Some(p),
-                None => usage("--json needs a path"),
-            },
-            "--report" => match args.next() {
-                Some(p) => report_path = Some(p),
-                None => usage("--report needs a path"),
-            },
-            "--gate" => match args.next() {
-                Some(p) => gate_path = Some(p),
-                None => usage("--gate needs a path"),
-            },
-            "--dump" => dump = true,
-            "--help" | "-h" => usage(""),
-            other => match other.parse::<f64>() {
-                Ok(v) if v > 0.0 => sf = v,
-                _ => usage(&format!("unrecognized argument `{other}`")),
-            },
-        }
-    }
+    let args = Args::parse(
+        "workload",
+        &[
+            Flag::Int("--seed"),
+            Flag::Value("--json", "path"),
+            Flag::Value("--report", "path"),
+            Flag::Value("--gate", "path"),
+            Flag::Switch("--dump"),
+        ],
+    );
+    let sf = args.sf_or(0.005);
+    let seed = args.int("--seed").unwrap_or(46);
 
     eprintln!("loading SSB at SF {sf} (seed {seed}) on the workload cluster...");
     let clyde = workload::build_clyde(sf, seed, None, None)
@@ -70,21 +44,21 @@ fn main() {
         "replaying {} submissions from {} tenants under {} policies...",
         arrivals.len(),
         workload::TENANTS.len(),
-        SchedPolicy::all().len()
+        REPLAYS.len()
     );
 
     let mut runs = Vec::new();
-    for policy in SchedPolicy::all() {
-        let run = workload::run_policy(&clyde, &arrivals, policy)
-            .unwrap_or_else(|e| panic!("{} replay failed: {e}", policy.label()));
+    for replay in &REPLAYS {
+        let run = workload::run_policy(&clyde, &arrivals, replay)
+            .unwrap_or_else(|e| panic!("{} replay failed: {e}", replay.label));
         eprintln!(
             "  {}: {} jobs in {:.1}s simulated ({:.2} jobs/min)",
-            policy.label(),
+            replay.label,
             run.served.len(),
             run.makespan_s,
             run.throughput_jobs_per_min
         );
-        if dump {
+        if args.switch("--dump") {
             for s in &run.served {
                 eprintln!(
                     "    {:<7} {:<5} arrive {:>7.2}  start {:>7.2}  finish {:>7.2}  \
@@ -103,26 +77,35 @@ fn main() {
 
     let report = workload::render_report(sf, seed, &runs);
     print!("{report}");
-    if let Some(path) = report_path {
-        std::fs::write(&path, &report).expect("write report");
+    if let Some(path) = args.value("--report") {
+        std::fs::write(path, &report).expect("write report");
         eprintln!("wrote {path}");
     }
-    if let Some(path) = json_path {
-        std::fs::write(&path, workload::to_json(sf, seed, &runs)).expect("write json");
+    if let Some(path) = args.value("--json") {
+        std::fs::write(path, workload::to_json(sf, seed, &runs)).expect("write json");
         eprintln!("wrote {path}");
     }
-    if let Some(path) = gate_path {
-        let committed =
-            std::fs::read_to_string(&path).unwrap_or_else(|e| panic!("gate file {path}: {e}"));
-        match workload::gate(&runs, &committed) {
-            Ok(()) => eprintln!("workload gate passed"),
-            Err(violations) => {
-                for v in &violations {
-                    eprintln!("gate FAIL: {v}");
-                }
-                eprintln!("workload gate FAILED");
-                std::process::exit(1);
-            }
+    if let Some(path) = args.value("--gate") {
+        let mut gate = Gate::open(path);
+        match (
+            workload::adhoc_p99(&runs, &FIFO),
+            workload::adhoc_p99(&runs, &FAIR),
+        ) {
+            (Some(fifo), Some(fair)) => gate.check(
+                "adhoc p99",
+                fair < fifo,
+                format!("fair {fair:.2}s < fifo {fifo:.2}s"),
+            ),
+            _ => gate.check("adhoc p99", false, "no fifo or fair adhoc run".into()),
         }
+        for r in &runs {
+            gate.recorded(
+                &format!("{} throughput", r.label),
+                r.throughput_jobs_per_min,
+                0.95,
+                &["policies", r.label, "throughput_jobs_per_min"],
+            );
+        }
+        gate.finish("workload");
     }
 }

@@ -542,7 +542,7 @@ impl Extrapolator {
     pub fn clyde_time(&self, qm: &QueryMeasurement) -> Result<f64> {
         let e = self.extrapolate_one_per_node(&qm.query, &qm.clyde);
         let cost = e.price(&self.params, &self.target_cluster)?;
-        let sort = qm.result_rows as f64 / self.params.sort_records_per_s + 0.5;
+        let sort = self.params.final_sort_s(qm.result_rows);
         Ok(cost.total_s() + sort)
     }
 
@@ -613,7 +613,7 @@ impl Extrapolator {
             }
         };
         let cost = e.price(&self.params, &self.target_cluster)?;
-        let sort = qm.result_rows as f64 / self.params.sort_records_per_s + 0.5;
+        let sort = self.params.final_sort_s(qm.result_rows);
         Ok(cost.total_s() + sort)
     }
 

@@ -18,6 +18,7 @@
 //! [`JobProfile`]: clyde_mapred::JobProfile
 
 pub mod cli;
+pub mod gate;
 pub mod harness;
 pub mod paper;
 pub mod profdiff;

@@ -1,5 +1,7 @@
 //! Plain-text table rendering for the figure binaries.
 
+use clyde_common::obs::{QueryProfile, DRIFT_THRESHOLD_PCT};
+
 /// Render an aligned text table: header row + data rows.
 pub fn render_table(header: &[&str], rows: &[Vec<String>]) -> String {
     let mut widths: Vec<usize> = header.iter().map(|h| h.len()).collect();
@@ -82,14 +84,12 @@ pub fn render_fault_impact(impacts: &[crate::harness::FaultImpact]) -> String {
 /// Render the cost-model calibration report across a suite of query
 /// profiles: one row per (query, job, phase) with the model's share of the
 /// priced time, the measured wall share, and the relative drift. Phases
-/// past the profile's threshold are flagged; a verdict line closes the
+/// past [`DRIFT_THRESHOLD_PCT`] are flagged; a verdict line closes the
 /// report. Wall-bearing — for humans, not for byte-compared artifacts.
-pub fn render_calibration(profiles: &[clyde_common::obs::QueryProfile]) -> String {
+pub fn render_calibration(profiles: &[QueryProfile]) -> String {
     let mut rows: Vec<Vec<String>> = Vec::new();
     let mut flagged: Vec<String> = Vec::new();
-    let mut threshold = clyde_common::obs::DEFAULT_DRIFT_THRESHOLD_PCT;
     for p in profiles {
-        threshold = p.drift_threshold_pct;
         for j in &p.jobs {
             for ph in &j.phases {
                 let (wall_share, drift, flag) = match ph.drift_pct {
@@ -132,12 +132,12 @@ pub fn render_calibration(profiles: &[clyde_common::obs::QueryProfile]) -> Strin
     );
     if flagged.is_empty() {
         out.push_str(&format!(
-            "calibration: all phases within {threshold:.0}% of CostParams pricing across {} queries\n",
+            "calibration: all phases within {DRIFT_THRESHOLD_PCT:.0}% of CostParams pricing across {} queries\n",
             profiles.len()
         ));
     } else {
         out.push_str(&format!(
-            "calibration: {} phase(s) drift >{threshold:.0}%: {}\n",
+            "calibration: {} phase(s) drift >{DRIFT_THRESHOLD_PCT:.0}%: {}\n",
             flagged.len(),
             flagged.join(", ")
         ));

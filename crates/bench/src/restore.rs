@@ -22,14 +22,12 @@
 //!
 //! The pass verifies byte-identity (warm rows must equal cold rows,
 //! row-for-row) and reports throughput, per-tenant p99 and hit rates; the
-//! committed `BENCH_restore.json` plus [`gate`] turn the warm speedup and
-//! warm hit rate into CI floors.
+//! committed `BENCH_restore.json` plus the `restore` binary's `--gate` turn
+//! the warm speedup and warm hit rate into CI floors.
 
-use crate::workload::{self, Arrival, PolicyRun};
-use clyde_common::obs::json;
+use crate::workload::{self, Arrival, PolicyRun, FAIR};
 use clyde_common::{rowcodec, ClydeError, Obs, Result};
 use clyde_dfs::CacheStats;
-use clyde_mapred::SchedPolicy;
 use std::sync::Arc;
 
 /// Arrival-time compression for the replay (see module docs).
@@ -105,9 +103,9 @@ pub fn run(
     let arrivals = compressed_scenario(seed);
 
     let before = dfs.cache_stats();
-    let cold_run = workload::run_policy(&clyde, &arrivals, SchedPolicy::Fair)?;
+    let cold_run = workload::run_policy(&clyde, &arrivals, &FAIR)?;
     let mid = dfs.cache_stats();
-    let warm_run = workload::run_policy(&clyde, &arrivals, SchedPolicy::Fair)?;
+    let warm_run = workload::run_policy(&clyde, &arrivals, &FAIR)?;
     let after = dfs.cache_stats();
 
     // Cached ≡ recomputed, byte-for-byte, before any number is reported.
@@ -247,62 +245,10 @@ pub fn to_json(report: &RestoreReport) -> String {
     out
 }
 
-/// The CI restore gate. Fails (returns every violation) if:
-///
-/// 1. the warm speedup falls below the hard `2.0x` floor,
-/// 2. the warm speedup falls below `0.9x` its committed value, or
-/// 3. the warm hit rate falls below the `0.80` floor.
-///
-/// Everything is simulated, so a healthy tree reproduces the committed
-/// numbers exactly; the 10% band only absorbs intentional cost
-/// recalibrations, not noise.
-pub fn gate(report: &RestoreReport, committed: &str) -> std::result::Result<(), Vec<String>> {
-    let committed = json::parse(committed)
-        .map_err(|e| vec![format!("committed gate is not valid JSON: {e}")])?;
-    let mut violations = Vec::new();
-    let speedup = report.warm_speedup();
-    let hit_rate = report.warm.hit_rate();
-    if speedup >= WARM_SPEEDUP_FLOOR {
-        eprintln!("gate warm speedup: {speedup:.2}x >= hard floor {WARM_SPEEDUP_FLOOR}x — ok");
-    } else {
-        violations.push(format!(
-            "warm speedup {speedup:.2}x fell below the hard floor {WARM_SPEEDUP_FLOOR}x"
-        ));
-    }
-    match json::number_at(&committed, &["summary", "warm_speedup"]) {
-        Ok(recorded) => {
-            let floor = recorded * 0.9;
-            if speedup >= floor {
-                eprintln!(
-                    "gate warm speedup: {speedup:.2}x vs recorded {recorded:.2}x \
-                     (floor {floor:.2}x) — ok"
-                );
-            } else {
-                violations.push(format!(
-                    "warm speedup {speedup:.2}x fell below floor {floor:.2}x \
-                     (recorded {recorded:.2}x)"
-                ));
-            }
-        }
-        Err(e) => violations.push(format!("committed gate: {e}")),
-    }
-    if hit_rate >= WARM_HIT_RATE_FLOOR {
-        eprintln!("gate warm hit rate: {hit_rate:.2} >= floor {WARM_HIT_RATE_FLOOR} — ok");
-    } else {
-        violations.push(format!(
-            "warm hit rate {hit_rate:.2} fell below the floor {WARM_HIT_RATE_FLOOR}"
-        ));
-    }
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clyde_common::obs::json;
 
     #[test]
     fn compressed_scenario_preserves_order_and_shape() {

@@ -1,7 +1,8 @@
 //! Mixed-tenant workload replay for the multi-job server.
 //!
 //! Builds a **seeded** three-tenant stream over the 13 SSB queries and
-//! replays it through [`Clydesdale::serve`] under each scheduling policy:
+//! replays it through [`Clydesdale::serve`] once per entry of [`REPLAYS`]
+//! (FIFO, max-min fair, and capacity — fair with the [`TENANTS`] weights):
 //!
 //! * `etl` — a queue-saturating burst: 15 batch queries submitted within
 //!   the first ~2.5 s.
@@ -13,9 +14,9 @@
 //! Everything downstream of the submission stream is deterministic
 //! simulated time, so per-tenant latency percentiles and throughput are
 //! byte-stable across reruns and host thread counts — which is what lets
-//! CI gate on them exactly (see [`gate`]).
+//! CI gate on them exactly (see the `workload` binary's `--gate`).
 
-use clyde_common::obs::json;
+use clyde_common::hash::splitmix64;
 use clyde_common::{ClydeError, Obs, Result};
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
 use clyde_mapred::{SchedPolicy, ServerConfig};
@@ -31,9 +32,42 @@ pub const ALL_QUERIES: [&str; 13] = [
     "Q4.3",
 ];
 
-/// Tenants in submission-priority order, with their capacity-scheduler
-/// weights: interactive tenants are promised the larger share.
+/// Tenants in submission-priority order, with their weights under the
+/// `capacity` replay: interactive tenants are promised the larger share.
 pub const TENANTS: [(&str, f64); 3] = [("etl", 1.0), ("dash", 2.0), ("adhoc", 4.0)];
+
+/// One labelled replay of the stream: a scheduling policy plus the tenant
+/// weights it runs with (unlisted tenants weigh 1.0).
+#[derive(Debug, Clone, Copy)]
+pub struct Replay {
+    pub label: &'static str,
+    pub policy: SchedPolicy,
+    pub weights: &'static [(&'static str, f64)],
+}
+
+/// Strict arrival order.
+pub const FIFO: Replay = Replay {
+    label: "fifo",
+    policy: SchedPolicy::Fifo,
+    weights: &[],
+};
+
+/// Max-min fair: the fair policy with no weights.
+pub const FAIR: Replay = Replay {
+    label: "fair",
+    policy: SchedPolicy::Fair,
+    weights: &[],
+};
+
+/// Capacity scheduling: the fair policy with the [`TENANTS`] weights.
+pub const CAPACITY: Replay = Replay {
+    label: "capacity",
+    policy: SchedPolicy::Fair,
+    weights: &TENANTS,
+};
+
+/// Every replay the bench reports, in display order.
+pub const REPLAYS: [Replay; 3] = [FIFO, FAIR, CAPACITY];
 
 /// One submission of the replayed stream.
 #[derive(Debug, Clone, PartialEq)]
@@ -44,19 +78,10 @@ pub struct Arrival {
     pub arrival_s: f64,
 }
 
-/// splitmix64 finalizer — the workspace's stock seeded mixer (same idiom
-/// as the fault injector), used here to jitter arrival times.
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
 /// Uniform [0, 1) draw from (seed, stream, index) — stream keeps the
 /// tenants' jitter statistically independent.
 fn unit(seed: u64, stream: u64, i: u64) -> f64 {
-    (mix(seed ^ (stream << 32) ^ i) >> 11) as f64 / (1u64 << 53) as f64
+    (splitmix64(seed ^ (stream << 32) ^ i) >> 11) as f64 / (1u64 << 53) as f64
 }
 
 /// How many batch submissions the etl tenant bursts near t=0. The burst
@@ -156,9 +181,10 @@ pub struct TenantStats {
     pub mean_wait_s: f64,
 }
 
-/// One policy's replay of the full stream.
+/// One replay of the full stream.
 pub struct PolicyRun {
-    pub policy: SchedPolicy,
+    /// The [`Replay`] label.
+    pub label: &'static str,
     /// Last finish (including final sorts) on the simulated timeline.
     pub makespan_s: f64,
     pub throughput_jobs_per_min: f64,
@@ -184,19 +210,19 @@ fn percentile(sample: &[f64], p: f64) -> f64 {
     v[rank.clamp(1, v.len()) - 1]
 }
 
-/// Replay `arrivals` under `policy` on a shared server and roll up
+/// Replay `arrivals` under `replay` on a shared server and roll up
 /// per-tenant latency stats. Every submission must be admitted — the
 /// scenario is sized inside the queue bound; a rejection is a bug.
-pub fn run_policy(
-    clyde: &Clydesdale,
-    arrivals: &[Arrival],
-    policy: SchedPolicy,
-) -> Result<PolicyRun> {
+pub fn run_policy(clyde: &Clydesdale, arrivals: &[Arrival], replay: &Replay) -> Result<PolicyRun> {
     let cfg = ServerConfig {
-        policy,
+        policy: replay.policy,
         queue_capacity: 64,
         tenant_quota: 0,
-        weights: TENANTS.iter().map(|(t, w)| (t.to_string(), *w)).collect(),
+        weights: replay
+            .weights
+            .iter()
+            .map(|(t, w)| (t.to_string(), *w))
+            .collect(),
     };
     let mut srv = clyde.serve(cfg);
     for a in arrivals {
@@ -234,7 +260,7 @@ pub fn run_policy(
         })
         .collect();
     Ok(PolicyRun {
-        policy,
+        label: replay.label,
         makespan_s,
         throughput_jobs_per_min: served.len() as f64 * 60.0 / makespan_s.max(1e-9),
         tenants,
@@ -266,7 +292,7 @@ pub fn render_report(sf: f64, seed: u64, runs: &[PolicyRun]) -> String {
             };
             out.push_str(&format!(
                 "{:<10} {:>10} {:>9}   {:<7} {:>4} {:>9.2} {:>9.2} {:>9.2} {:>10.2}\n",
-                if i == 0 { r.policy.label() } else { "" },
+                if i == 0 { r.label } else { "" },
                 mk,
                 tp,
                 t.tenant,
@@ -278,20 +304,19 @@ pub fn render_report(sf: f64, seed: u64, runs: &[PolicyRun]) -> String {
             ));
         }
     }
-    if let (Some(fifo), Some(fair)) = (
-        runs.iter().find(|r| r.policy == SchedPolicy::Fifo),
-        runs.iter().find(|r| r.policy == SchedPolicy::Fair),
-    ) {
-        if let (Some(f), Some(a)) = (fifo.tenant("adhoc"), fair.tenant("adhoc")) {
-            out.push_str(&format!(
-                "\nstarved tenant (adhoc) p99: fifo {:.2}s -> fair {:.2}s ({:.2}x)\n",
-                f.p99_s,
-                a.p99_s,
-                f.p99_s / a.p99_s.max(1e-9)
-            ));
-        }
+    if let (Some(fifo), Some(fair)) = (adhoc_p99(runs, &FIFO), adhoc_p99(runs, &FAIR)) {
+        out.push_str(&format!(
+            "\nstarved tenant (adhoc) p99: fifo {fifo:.2}s -> fair {fair:.2}s ({:.2}x)\n",
+            fifo / fair.max(1e-9)
+        ));
     }
     out
+}
+
+/// The starved `adhoc` tenant's p99 latency in the run of `replay`.
+pub fn adhoc_p99(runs: &[PolicyRun], replay: &Replay) -> Option<f64> {
+    let run = runs.iter().find(|r| r.label == replay.label)?;
+    run.tenant("adhoc").map(|t| t.p99_s)
 }
 
 /// Serialize the runs as the committed-gate JSON document (hand-rolled on
@@ -306,9 +331,7 @@ pub fn to_json(sf: f64, seed: u64, runs: &[PolicyRun]) -> String {
         out.push_str(&format!(
             "    \"{}\": {{\n      \"makespan_s\": {:.2},\n      \
              \"throughput_jobs_per_min\": {:.2},\n      \"tenants\": {{\n",
-            r.policy.label(),
-            r.makespan_s,
-            r.throughput_jobs_per_min
+            r.label, r.makespan_s, r.throughput_jobs_per_min
         ));
         for (j, t) in r.tenants.iter().enumerate() {
             let comma = if j + 1 < r.tenants.len() { "," } else { "" };
@@ -325,77 +348,10 @@ pub fn to_json(sf: f64, seed: u64, runs: &[PolicyRun]) -> String {
     out
 }
 
-/// The CI workload gate. Fails (returns every violation) if:
-///
-/// 1. fair scheduling does not beat FIFO on the starved tenant's p99, or
-/// 2. any policy's throughput falls below 0.95x its committed value.
-///
-/// Both quantities are simulated, so a healthy tree reproduces the
-/// committed numbers exactly; the 5% floor only absorbs intentional cost
-/// recalibrations, not noise.
-pub fn gate(runs: &[PolicyRun], committed: &str) -> std::result::Result<(), Vec<String>> {
-    let committed = json::parse(committed)
-        .map_err(|e| vec![format!("committed gate is not valid JSON: {e}")])?;
-    let mut violations = Vec::new();
-    match (
-        runs.iter()
-            .find(|r| r.policy == SchedPolicy::Fifo)
-            .and_then(|r| r.tenant("adhoc")),
-        runs.iter()
-            .find(|r| r.policy == SchedPolicy::Fair)
-            .and_then(|r| r.tenant("adhoc")),
-    ) {
-        (Some(fifo), Some(fair)) => {
-            if fair.p99_s < fifo.p99_s {
-                eprintln!(
-                    "gate adhoc p99: fair {:.2}s < fifo {:.2}s — ok",
-                    fair.p99_s, fifo.p99_s
-                );
-            } else {
-                violations.push(format!(
-                    "fair must beat fifo on the starved tenant's p99: \
-                     fair {:.2}s !< fifo {:.2}s",
-                    fair.p99_s, fifo.p99_s
-                ));
-            }
-        }
-        _ => violations.push("gate needs both fifo and fair runs with an adhoc tenant".into()),
-    }
-    for r in runs {
-        let label = r.policy.label();
-        let recorded =
-            match json::number_at(&committed, &["policies", label, "throughput_jobs_per_min"]) {
-                Ok(v) => v,
-                Err(e) => {
-                    violations.push(format!("committed gate: {e}"));
-                    continue;
-                }
-            };
-        let floor = recorded * 0.95;
-        if r.throughput_jobs_per_min >= floor {
-            eprintln!(
-                "gate {label}: throughput {:.2} jobs/min vs recorded {recorded:.2} \
-                 (floor {floor:.2}) — ok",
-                r.throughput_jobs_per_min
-            );
-        } else {
-            violations.push(format!(
-                "{label}: throughput {:.2} jobs/min fell below floor {floor:.2} \
-                 (recorded {recorded:.2})",
-                r.throughput_jobs_per_min
-            ));
-        }
-    }
-    if violations.is_empty() {
-        Ok(())
-    } else {
-        Err(violations)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use clyde_common::obs::json;
 
     #[test]
     fn scenario_is_seed_deterministic_and_covers_tenants() {
@@ -439,15 +395,9 @@ mod tests {
     #[test]
     fn committed_baseline_has_every_policy_throughput() {
         let doc = json::parse(include_str!("../../../BENCH_workload.json")).unwrap();
-        for p in SchedPolicy::all() {
-            let path = ["policies", p.label(), "throughput_jobs_per_min"];
+        for r in REPLAYS {
+            let path = ["policies", r.label, "throughput_jobs_per_min"];
             assert!(json::number_at(&doc, &path).unwrap() > 0.0, "{path:?}");
         }
-    }
-
-    #[test]
-    fn gate_rejects_a_baseline_it_cannot_read() {
-        let errs = gate(&[], "{").unwrap_err();
-        assert!(errs[0].contains("not valid JSON"), "{errs:?}");
     }
 }

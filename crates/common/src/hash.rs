@@ -87,6 +87,16 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// Drop-in `HashSet` with the fast hasher.
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
+/// splitmix64 finalizer: the workspace's one seeded bit mixer (fault
+/// plans, stage fingerprints, corruption victims, workload arrival jitter).
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
+    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -48,7 +48,7 @@ pub struct RejectedLane {
 /// The full record of one job-server drain.
 #[derive(Debug, Clone)]
 pub struct ServerRun {
-    /// Scheduling policy label ("fifo" | "fair" | "capacity").
+    /// Scheduling policy label ("fifo" | "fair").
     pub policy: String,
     pub queue_capacity: usize,
     pub lanes: Vec<ServedLane>,

@@ -2,7 +2,7 @@
 
 use crate::config::Features;
 use crate::planner::plan_query;
-use clyde_common::obs::{us, Obs, QueryProfile, SpanKind, DEFAULT_DRIFT_THRESHOLD_PCT};
+use clyde_common::obs::{us, Obs, QueryProfile, SpanKind};
 use clyde_common::{ClydeError, Result, Row};
 use clyde_dfs::Dfs;
 use clyde_mapred::{CostParams, Engine, FaultPlan, JobCost, JobProfile};
@@ -260,8 +260,7 @@ impl Clydesdale {
         let result = self.engine.run_job(&spec)?;
         let mut rows = result.rows;
         query.finish_result(&mut rows);
-        // Price the client-side sort like the paper's single-process sort.
-        let final_sort_s = rows.len() as f64 / self.engine.params().sort_records_per_s + 0.5;
+        let final_sort_s = self.engine.params().final_sort_s(rows.len());
         if obs.is_enabled() {
             // Append the client-side sort right after the job on its track.
             if let Some(job) = obs.last_job() {
@@ -280,12 +279,7 @@ impl Clydesdale {
             obs.metrics()
                 .histogram_record("mapred.final_sort_s", final_sort_s);
             let profile = obs.with_histories(|hs| {
-                QueryProfile::from_histories(
-                    &query.id,
-                    &hs[hist_before..],
-                    final_sort_s,
-                    DEFAULT_DRIFT_THRESHOLD_PCT,
-                )
+                QueryProfile::from_histories(&query.id, &hs[hist_before..], final_sort_s)
             });
             obs.record_query_profile(profile);
         }

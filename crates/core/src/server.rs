@@ -11,7 +11,7 @@
 
 use crate::engine::Clydesdale;
 use crate::planner::plan_query;
-use clyde_common::obs::{QueryProfile, DEFAULT_DRIFT_THRESHOLD_PCT};
+use clyde_common::obs::QueryProfile;
 use clyde_common::{Result, Row};
 use clyde_mapred::{JobCost, JobProfile, JobServer, RejectReason, ServerConfig};
 use clyde_ssb::queries::StarQuery;
@@ -112,7 +112,7 @@ impl<'c> QueryServer<'c> {
         for (i, (job, query)) in served_jobs.into_iter().zip(queries).enumerate() {
             let mut rows = job.result.rows;
             query.finish_result(&mut rows);
-            let final_sort_s = rows.len() as f64 / params.sort_records_per_s + 0.5;
+            let final_sort_s = params.final_sort_s(rows.len());
             if obs.is_enabled() {
                 obs.metrics().counter_add("mapred.queries", 1);
                 obs.metrics()
@@ -122,7 +122,6 @@ impl<'c> QueryServer<'c> {
                         &query.id,
                         &hs[hist_before + i..hist_before + i + 1],
                         final_sort_s,
-                        DEFAULT_DRIFT_THRESHOLD_PCT,
                     )
                 });
                 obs.record_query_profile(profile);

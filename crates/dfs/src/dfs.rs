@@ -8,6 +8,7 @@ use crate::namenode::{FileEntry, Namenode};
 use crate::placement::{BlockPlacementPolicy, DefaultPlacement};
 use crate::topology::{ClusterSpec, NodeId};
 use bytes::Bytes;
+use clyde_common::hash::splitmix64;
 use clyde_common::lockorder::RwLock;
 use clyde_common::{ClydeError, FxHashMap, Result};
 use std::sync::Arc;
@@ -537,12 +538,6 @@ impl Dfs {
     /// chosen by hashing `seed`, so the same seed always rots the same bytes.
     /// Returns how many replicas were actually corrupted.
     pub fn inject_corruption(&self, seed: u64, count: u32) -> usize {
-        fn mix64(mut x: u64) -> u64 {
-            x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-            x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-            x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-            x ^ (x >> 31)
-        }
         if count == 0 {
             return 0;
         }
@@ -565,7 +560,7 @@ impl Dfs {
             if live.len() < 2 {
                 continue;
             }
-            let h = mix64(seed ^ mix64(meta.id.0));
+            let h = splitmix64(seed ^ splitmix64(meta.id.0));
             candidates.push((h, meta.id, live[0].0));
         }
         candidates.sort_by_key(|&(h, id, _)| (h, id));

@@ -213,6 +213,12 @@ impl CostParams {
         CostParams::default()
     }
 
+    /// Simulated seconds of the client-side final sort over `rows` result
+    /// rows, priced like the paper's single-process sort.
+    pub fn final_sort_s(&self, rows: usize) -> f64 {
+        rows as f64 / self.sort_records_per_s + 0.5
+    }
+
     /// The priced terms of one map task when `concurrency` tasks of this
     /// job share the node: the one formula both the duration and the phase
     /// slices are derived from.

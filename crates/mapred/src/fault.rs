@@ -13,6 +13,8 @@
 //! (datanode deaths trigger at a *simulated* time, compared against the cost
 //! model's task durations), so fault runs stay as deterministic as clean runs.
 
+use clyde_common::hash::splitmix64;
+
 /// The named plans exercised by the CI fault-matrix, in matrix order.
 pub const NAMES: [&str; 6] = [
     "none",
@@ -22,14 +24,6 @@ pub const NAMES: [&str; 6] = [
     "corruption",
     "combined",
 ];
-
-/// splitmix64 finalizer: a cheap, high-quality 64-bit mixer.
-pub(crate) fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
 
 /// Streams keep the per-task, per-count decisions statistically independent.
 const STREAM_TASK_FAIL: u64 = 1;
@@ -111,7 +105,7 @@ impl FaultPlan {
 
     /// Keyed hash: independent 64-bit draw per (stream, index).
     fn hash(&self, stream: u64, idx: u64) -> u64 {
-        mix(self.seed ^ mix(stream ^ mix(idx)))
+        splitmix64(self.seed ^ splitmix64(stream ^ splitmix64(idx)))
     }
 
     /// How many leading attempts of `task` fail. Always `< max_attempts`, so

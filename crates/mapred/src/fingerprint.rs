@@ -29,16 +29,9 @@
 
 use crate::input::{InputSplit, SplitSpec};
 use crate::job::JobSpec;
+use clyde_common::hash::splitmix64;
 
-/// splitmix64 finalizer: the workspace-standard bit mixer.
-fn mix64(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Incremental fingerprint accumulator: a chained mix64 over tagged,
+/// Incremental fingerprint accumulator: a chained splitmix64 over tagged,
 /// length-prefixed fields.
 #[derive(Debug, Clone, Copy)]
 pub struct Fingerprinter {
@@ -49,12 +42,12 @@ impl Fingerprinter {
     pub fn new() -> Fingerprinter {
         // Domain-separation constant so an empty fingerprint is not 0.
         Fingerprinter {
-            state: mix64(0x636c_7964_655f_6670), // "clyde_fp"
+            state: splitmix64(0x636c_7964_655f_6670), // "clyde_fp"
         }
     }
 
     pub fn push_u64(&mut self, v: u64) -> &mut Self {
-        self.state = mix64(self.state ^ mix64(v));
+        self.state = splitmix64(self.state ^ splitmix64(v));
         self
     }
 
@@ -73,7 +66,7 @@ impl Fingerprinter {
     }
 
     pub fn finish(&self) -> u64 {
-        mix64(self.state)
+        splitmix64(self.state)
     }
 }
 

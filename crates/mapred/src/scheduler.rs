@@ -91,16 +91,13 @@ pub fn locality_fraction(splits: &[InputSplit], assignment: &[NodeId]) -> f64 {
 pub enum SchedPolicy {
     /// Strict arrival order: earliest-submitted job first, always.
     Fifo,
-    /// Max-min fair over tenants (Hadoop fair-scheduler shape: one pool
-    /// per tenant, equal shares): the tenant holding the fewest slots wins
-    /// the next one; ties fall to least attained service (granted
-    /// slot-seconds), so a fresh interactive tenant beats an equally-idle
-    /// batch backlog. FIFO within a tenant, the fair scheduler's default.
+    /// Weighted fair share over tenants (Hadoop fair-scheduler shape: one
+    /// pool per tenant): the tenant with the lowest `running_slots / weight`
+    /// wins the next slot; ties fall to least attained service (granted
+    /// slot-seconds) per weight, so a fresh interactive tenant beats an
+    /// equally-idle batch backlog. Unweighted tenants weigh 1.0, so with no
+    /// weights this is max-min fair. FIFO within a tenant.
     Fair,
-    /// Weighted fair over tenants: the tenant with the lowest
-    /// `running_slots / weight` wins, least attained service per weight as
-    /// the tiebreak; FIFO within a tenant (Hadoop capacity-scheduler shape).
-    Capacity,
 }
 
 impl SchedPolicy {
@@ -108,22 +105,7 @@ impl SchedPolicy {
         match self {
             SchedPolicy::Fifo => "fifo",
             SchedPolicy::Fair => "fair",
-            SchedPolicy::Capacity => "capacity",
         }
-    }
-
-    pub fn parse(s: &str) -> Option<SchedPolicy> {
-        match s {
-            "fifo" => Some(SchedPolicy::Fifo),
-            "fair" => Some(SchedPolicy::Fair),
-            "capacity" => Some(SchedPolicy::Capacity),
-            _ => None,
-        }
-    }
-
-    /// Every policy, in display order.
-    pub fn all() -> [SchedPolicy; 3] {
-        [SchedPolicy::Fifo, SchedPolicy::Fair, SchedPolicy::Capacity]
     }
 }
 
@@ -132,9 +114,9 @@ impl SchedPolicy {
 /// recorded node placement, and the job's capacity declaration.
 #[derive(Debug, Clone)]
 pub struct SimJob {
-    /// Dense tenant index (for the capacity policy's per-tenant shares).
+    /// Dense tenant index (for the fair policy's per-tenant shares).
     pub tenant: usize,
-    /// Tenant weight under the capacity policy (>= larger is more share).
+    /// Tenant weight under the fair policy (larger is more share).
     pub weight: f64,
     /// Submission time on the server clock (seconds).
     pub arrival_s: f64,
@@ -448,20 +430,17 @@ impl Sim<'_> {
         }
     }
 
-    /// The policy's priority key: lower wins. Fair/capacity break ties on
-    /// least attained service (slot-seconds granted so far), then arrival
-    /// order, then job id, so every decision is total and deterministic —
-    /// and a fresh job is not starved by an earlier-arrived backlog that is
-    /// momentarily holding zero slots.
+    /// The policy's priority key: lower wins. Fair breaks ties on least
+    /// attained service per weight (slot-seconds granted so far), then
+    /// arrival order, then job id, so every decision is total and
+    /// deterministic — and a fresh job is not starved by an earlier-arrived
+    /// backlog that is momentarily holding zero slots. A weight of 1.0
+    /// divides exactly, so unweighted tenants are max-min fair.
     fn key(&self, j: usize) -> SchedKey {
         let job = &self.jobs[j];
         let (primary, service) = match self.policy {
             SchedPolicy::Fifo => (0.0, 0.0),
-            SchedPolicy::Fair => (
-                f64::from(self.tenant_slots[job.tenant]),
-                self.tenant_service[job.tenant],
-            ),
-            SchedPolicy::Capacity => {
+            SchedPolicy::Fair => {
                 let w = job.weight.max(1e-9);
                 (
                     f64::from(self.tenant_slots[job.tenant]) / w,
@@ -497,7 +476,7 @@ impl Sim<'_> {
 
     /// Hand out every slot that can be filled at time `t`: repeatedly pick
     /// the best-priority job with an assignable task until nothing fits.
-    /// Keys are re-evaluated after each grant, so fair/capacity shares shift
+    /// Keys are re-evaluated after each grant, so fair shares shift
     /// as slots are taken.
     fn assign(&mut self, t: f64) {
         loop {
@@ -720,6 +699,7 @@ mod tests {
 
     #[test]
     fn capacity_weights_tenant_shares() {
+        // Capacity scheduling is the fair policy with tenant weights.
         let mut cluster = ClusterSpec::tiny(1);
         cluster.map_slots = 4; // one node, four map slots
         let mut lo = sim_job(0, 0.0, 8);
@@ -728,7 +708,7 @@ mod tests {
         let mut hi = sim_job(1, 0.0, 8);
         hi.weight = 3.0;
         hi.map_cap_per_node = 4;
-        let s = interleave(&[lo, hi], &cluster, SchedPolicy::Capacity);
+        let s = interleave(&[lo, hi], &cluster, SchedPolicy::Fair);
         // First wave (t=1): the id tiebreak hands tenant 0 one slot, after
         // which tenant 1's weight-normalized share (k/3) stays below tenant
         // 0's (1/1) until tenant 1 holds 3 of the 4 slots — a 3:1 split.
@@ -792,7 +772,7 @@ mod tests {
                 j
             })
             .collect();
-        for policy in SchedPolicy::all() {
+        for policy in [SchedPolicy::Fifo, SchedPolicy::Fair] {
             let a = interleave(&jobs, &cluster, policy);
             let b = interleave(&jobs, &cluster, policy);
             assert_eq!(a.len(), jobs.len());
@@ -822,13 +802,5 @@ mod tests {
                 assert!(busy[node] <= cluster.map_slots as i32);
             }
         }
-    }
-
-    #[test]
-    fn policy_labels_roundtrip() {
-        for p in SchedPolicy::all() {
-            assert_eq!(SchedPolicy::parse(p.label()), Some(p));
-        }
-        assert_eq!(SchedPolicy::parse("lifo"), None);
     }
 }

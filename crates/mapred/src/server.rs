@@ -36,7 +36,8 @@ pub struct ServerConfig {
     /// Max *pending* jobs any single tenant may hold (0 = no per-tenant
     /// cap); the quota frees up as the queue drains.
     pub tenant_quota: usize,
-    /// Capacity-policy weights by tenant name; unlisted tenants weigh 1.0.
+    /// Fair-policy weights by tenant name; unlisted tenants weigh 1.0, so
+    /// no weights means max-min fair.
     pub weights: Vec<(String, f64)>,
 }
 

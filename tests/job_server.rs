@@ -136,7 +136,7 @@ fn served_queries_answer_bit_for_bit_like_solo_runs() {
         .map(|id| clyde.query(&query_by_id(id).unwrap()).unwrap().rows)
         .collect();
 
-    for policy in SchedPolicy::all() {
+    for policy in [SchedPolicy::Fifo, SchedPolicy::Fair] {
         let mut srv = clyde.serve(config(policy, 16, 0));
         for (i, id) in ids.iter().enumerate() {
             let tenant = if i % 2 == 0 { "etl" } else { "dash" };
@@ -158,6 +158,34 @@ fn served_queries_answer_bit_for_bit_like_solo_runs() {
             assert!(s.final_sort_s > 0.0);
         }
     }
+}
+
+#[test]
+fn fair_with_unit_weights_matches_no_weights() {
+    let dfs = cluster(3);
+    let layout = load(&dfs, 0.005);
+    let clyde = Clydesdale::new(Arc::clone(&dfs), layout);
+    clyde.warm_dimension_cache().unwrap();
+    let ids = ["Q2.1", "Q1.1", "Q3.1", "Q1.2", "Q4.1"];
+    let tenants = ["etl", "adhoc", "dash"];
+    let timeline = |weights: Vec<(String, f64)>| -> Vec<(u64, u64)> {
+        let mut srv = clyde.serve(ServerConfig {
+            weights,
+            ..config(SchedPolicy::Fair, 16, 0)
+        });
+        for (i, id) in ids.iter().enumerate() {
+            let q = query_by_id(id).unwrap();
+            let tenant = tenants[i % tenants.len()];
+            assert!(srv.submit(tenant, 0.3 * i as f64, &q).unwrap().is_ok());
+        }
+        srv.drain()
+            .unwrap()
+            .iter()
+            .map(|s| (s.start_s.to_bits(), s.finish_s.to_bits()))
+            .collect()
+    };
+    let unit = tenants.iter().map(|t| (t.to_string(), 1.0)).collect();
+    assert_eq!(timeline(unit), timeline(Vec::new()));
 }
 
 fn traced_workload(host_threads: u32) -> (Vec<Vec<clyde_common::Row>>, String, String) {
