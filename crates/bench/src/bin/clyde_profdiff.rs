@@ -5,8 +5,8 @@
 //! ```
 //!
 //! `before`/`after` may be two `clyde-profiles` bundles (from the `profile`
-//! binary), two Chrome traces (from `q21_breakdown --trace`), or two
-//! `bench_probe` JSON artifacts (`BENCH_probe.json` / `probe-now.json`).
+//! binary) or two `bench_probe` JSON artifacts (`BENCH_probe.json` /
+//! `probe-now.json`).
 //! The kind is auto-detected; both sides must match.
 //!
 //! With `--gate-pct N`, exits 1 when any query's makespan regressed by more

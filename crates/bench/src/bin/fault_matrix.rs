@@ -1,7 +1,8 @@
 //! CI fault-matrix: recovery transparency under seeded fault plans.
 //!
-//! Usage: `fault_matrix [measurement-sf] [--seed <n>] [--plan <name>]`
-//! (default SF 0.01, seed 46, all plans).
+//! Usage: `fault_matrix [SF] [--seed <n>] [--plan <name>]` (default SF
+//! 0.01, seed 46, all plans). Arguments parse through [`Args`]; an unknown
+//! plan prints the valid plan names and exits 2.
 //!
 //! For each named plan, Q2.1 is executed twice on identically loaded fresh
 //! clusters — once fault-free, once under the plan — and the serialized
@@ -10,19 +11,11 @@
 //! injected, not silently skipped). Exits non-zero on any violation, which
 //! is what gates the CI `fault-matrix` job.
 
+use clyde_bench::cli::{Args, Flag};
 use clyde_bench::harness::{run_fault_cell, FaultCell, MeasurementConfig};
 use clyde_bench::report::render_table;
 use clyde_mapred::fault::NAMES;
 use clyde_ssb::query_by_id;
-
-fn usage(err: &str) -> ! {
-    if !err.is_empty() {
-        eprintln!("error: {err}");
-    }
-    eprintln!("usage: fault_matrix [measurement-sf] [--seed <n>] [--plan <name>]");
-    eprintln!("plans: {}", NAMES.join(", "));
-    std::process::exit(if err.is_empty() { 0 } else { 2 });
-}
 
 /// The plan-specific recovery action that must be visible in the profile.
 fn check_signals(cell: &FaultCell) -> Result<(), String> {
@@ -55,28 +48,21 @@ fn check_signals(cell: &FaultCell) -> Result<(), String> {
 }
 
 fn main() {
-    let mut sf = 0.01;
-    let mut seed = 46u64;
-    let mut plans: Vec<String> = NAMES.iter().map(|s| s.to_string()).collect();
-    let mut args = std::env::args().skip(1);
-    while let Some(a) = args.next() {
-        match a.as_str() {
-            "--seed" => match args.next().and_then(|s| s.parse().ok()) {
-                Some(s) => seed = s,
-                None => usage("--seed needs an integer"),
-            },
-            "--plan" => match args.next() {
-                Some(p) if NAMES.contains(&p.as_str()) => plans = vec![p],
-                Some(p) => usage(&format!("unknown plan `{p}`")),
-                None => usage("--plan needs a name"),
-            },
-            "--help" | "-h" => usage(""),
-            other => match other.parse::<f64>() {
-                Ok(v) if v > 0.0 => sf = v,
-                _ => usage(&format!("unrecognized argument `{other}`")),
-            },
+    let args = Args::parse(
+        "fault_matrix",
+        &[Flag::Int("--seed"), Flag::Value("--plan", "name")],
+    );
+    let sf = args.sf_or(0.01);
+    let seed = args.int("--seed").unwrap_or(46);
+    let plans: Vec<String> = match args.value("--plan") {
+        None => NAMES.iter().map(|s| s.to_string()).collect(),
+        Some(p) if NAMES.contains(&p) => vec![p.to_string()],
+        Some(p) => {
+            eprintln!("error: unknown plan `{p}`");
+            eprintln!("plans: {}", NAMES.join(", "));
+            std::process::exit(2);
         }
-    }
+    };
 
     let config = MeasurementConfig {
         sf,

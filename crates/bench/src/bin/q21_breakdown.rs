@@ -6,12 +6,12 @@
 //! 15,142 s (2,640 / 2,040 / 9,180 / 720 / 19 s) and the repartition plan
 //! 17,700 s.
 //!
-//! This binary prints the same decomposition as a *view over recorded
-//! spans*: the extrapolated SF1000 job is turned into a [`JobHistory`],
-//! recorded into the span tree, and the table's build/scan rows are read
-//! back from the span durations — exactly what a Perfetto user would see.
-//! Pass `--trace <out.json>` to write that span tree (plus every measured
-//! job's timeline) as Chrome trace JSON.
+//! This binary prints the same decomposition as a *view over the recorded
+//! job history*: the extrapolated SF1000 job is turned into a
+//! [`JobHistory`], recorded next to every measured job, and the table's
+//! build/scan rows are its per-node phase maxima — the bands a Perfetto user
+//! sees in that job's trace. Pass `--trace <out.json>` to write every
+//! recorded job's timeline, this one included, as Chrome trace JSON.
 //!
 //! [`JobHistory`]: clyde_common::obs::JobHistory
 
@@ -19,7 +19,7 @@ use clyde_bench::cli::{self, Args};
 use clyde_bench::harness::{measure_with_obs, Extrapolator, MeasureWhat, MeasurementConfig};
 use clyde_bench::paper::cluster_a::q21;
 use clyde_bench::report::{render_table, secs};
-use clyde_common::obs::{SpanKind, TaskKind};
+use clyde_common::obs::{Phase, TaskKind};
 use clyde_common::Obs;
 use clyde_dfs::ClusterSpec;
 use clyde_hive::JoinStrategy;
@@ -29,8 +29,8 @@ use std::sync::Arc;
 fn main() {
     let args = Args::parse("q21_breakdown", &[cli::TRACE]);
     let sf = args.sf_or(0.02);
-    // The breakdown below is derived from spans, so this binary always
-    // records; `--trace` additionally writes the span log out.
+    // The breakdown below is read from the recorded history, so this binary
+    // always records; `--trace` additionally writes the trace out.
     let obs = Obs::enabled();
     let config = MeasurementConfig {
         sf,
@@ -55,7 +55,7 @@ fn main() {
         .expect("Q2.1 measured");
 
     // ---- Clydesdale side: extrapolate to SF1000, record the job history,
-    // and read the breakdown back out of the recorded spans. ----
+    // and read the breakdown back out of it. ----
     let mut e = ex.extrapolate_one_per_node(&qm.query, &qm.clyde);
     e.name = "clydesdale-Q2.1@SF1000".into();
     let params = &ex.params;
@@ -63,21 +63,11 @@ fn main() {
         .price(params, &cluster)
         .expect("clydesdale fits in memory");
     let hist = job_history(&e, &cost, params, &cluster);
-    let job = obs.record_job(hist.clone()).expect("obs is enabled");
-    let spans = obs.spans().spans();
-    // Longest per-task total of a phase, in seconds — the per-node number
-    // the paper quotes (every node runs one map task).
-    let phase_max_s = |name: &str| -> f64 {
-        spans
-            .iter()
-            .filter(|s| s.pid == job.pid && s.kind == SpanKind::Phase && s.name == name)
-            .map(|s| s.dur_us)
-            .max()
-            .unwrap_or(0) as f64
-            / 1e6
-    };
-    let build_s = phase_max_s("hash-build");
-    let scan_s = phase_max_s("scan");
+    obs.record_job(hist.clone());
+    // Longest per-task total of a phase — the per-node number the paper
+    // quotes (every node runs one map task).
+    let build_s = hist.phase_max_s(Phase::HashBuild);
+    let scan_s = hist.phase_max_s(Phase::Scan);
     let task = &e.map_tasks[0].cost;
     let scan_gb = (task.local_bytes + task.remote_bytes) as f64 / (1u64 << 30) as f64;
     let bw = params.hdfs.effective_read_bw(&cluster.node);

@@ -4,10 +4,10 @@
 //! the flags it declares; anything else — an unknown flag, a flag missing
 //! its value, a scale factor that does not parse — prints usage and exits
 //! 2. The figure binaries declare [`TRACE`] (turn on observability and
-//! write the recorded spans as Chrome trace-event JSON: open the file in
-//! Perfetto, ui.perfetto.dev, to see the simulated job timelines); `fig7`
-//! and `fig8` also declare [`FAULTS`] (rerun the figure's queries under the
-//! seeded `combined` fault plan).
+//! write the Chrome trace-event JSON rendered from the recorded job
+//! histories: open the file in Perfetto, ui.perfetto.dev, to see the
+//! simulated job timelines); `fig7` and `fig8` also declare [`FAULTS`]
+//! (rerun the figure's queries under the seeded `combined` fault plan).
 
 use clyde_common::Obs;
 use std::sync::Arc;

@@ -1,7 +1,15 @@
 //! Measurement and extrapolation machinery shared by the figure binaries.
+//!
+//! Every measurement pass, fault-matrix cell and fault-impact pass loads SSB
+//! the same way, through one private `load`: cluster A's node shape, 8 MiB
+//! blocks, replication 3, co-locating placement. With an enabled [`Obs`]
+//! hub attached, every job records its [`JobHistory`] there, and the
+//! profile suite's flamegraph is rendered from those histories.
+//!
+//! [`JobHistory`]: clyde_common::obs::JobHistory
 
 use clyde_common::obs::{profiles_json, QueryProfile};
-use clyde_common::{Obs, Result};
+use clyde_common::{ClydeError, Obs, Result};
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions, IoSnapshot};
 use clyde_hive::{Hive, JoinStrategy};
 use clyde_mapred::{CostParams, Extrapolation, FaultPlan, JobProfile, MapTaskScaling};
@@ -64,6 +72,34 @@ pub fn measurement_cluster(workers: usize) -> ClusterSpec {
     c
 }
 
+/// Load SSB at `config`'s scale onto a fresh measurement cluster: 8 MiB
+/// blocks, replication 3, co-locating placement, CIF row groups, plus the
+/// RCFile copy Hive reads when `rcfile` is set.
+fn load(config: &MeasurementConfig, rcfile: bool) -> Result<(Arc<Dfs>, SsbLayout)> {
+    let dfs = Dfs::new(
+        measurement_cluster(config.workers),
+        DfsOptions {
+            block_size: 8 << 20,
+            replication: 3,
+            policy: Box::new(ColocatingPlacement),
+        },
+    );
+    let layout = SsbLayout::default();
+    loader::load(
+        &dfs,
+        SsbGen::new(config.sf, config.seed),
+        &layout,
+        &loader::LoadOpts {
+            rows_per_group: config.rows_per_group,
+            cif: true,
+            rcfile,
+            text: false,
+            cluster_by_date: true,
+        },
+    )?;
+    Ok((dfs, layout))
+}
+
 /// Ablation profiles for one query (Figure 9).
 #[derive(Debug)]
 pub struct AblationProfiles {
@@ -116,37 +152,15 @@ pub fn measure(config: &MeasurementConfig, what: MeasureWhat) -> Result<Measurem
 }
 
 /// [`measure`] with an observability hub attached: every Clydesdale and Hive
-/// job records its history, spans, and counters there.
+/// job records its history and counters there.
 pub fn measure_with_obs(
     config: &MeasurementConfig,
     what: MeasureWhat,
     obs: Arc<Obs>,
 ) -> Result<Measurements> {
-    let cluster = measurement_cluster(config.workers);
-    let dfs = Dfs::new(
-        cluster,
-        DfsOptions {
-            block_size: 8 << 20,
-            replication: 3,
-            policy: Box::new(ColocatingPlacement),
-        },
-    );
-    let layout = SsbLayout::default();
-    let gen = SsbGen::new(config.sf, config.seed);
-    loader::load(
-        &dfs,
-        gen,
-        &layout,
-        &loader::LoadOpts {
-            rows_per_group: config.rows_per_group,
-            cif: true,
-            rcfile: what.hive,
-            text: false,
-            cluster_by_date: true,
-        },
-    )?;
+    let (dfs, layout) = load(config, what.hive)?;
     let reference_data = if config.validate {
-        Some(gen.gen_all())
+        Some(SsbGen::new(config.sf, config.seed).gen_all())
     } else {
         None
     };
@@ -328,35 +342,14 @@ pub fn run_fault_cell(
     plan: &str,
     seed: u64,
 ) -> Result<FaultCell> {
-    let faults = FaultPlan::named(plan, seed).unwrap_or_else(|| {
-        panic!(
-            "unknown fault plan `{plan}` (expected one of {:?})",
-            clyde_mapred::fault::NAMES
-        )
-    });
+    let faults = FaultPlan::named(plan, seed).ok_or_else(|| {
+        ClydeError::Plan(format!(
+            "unknown fault plan `{plan}` (expected one of {})",
+            clyde_mapred::fault::NAMES.join(", ")
+        ))
+    })?;
     let run = |faults: Option<FaultPlan>| -> Result<(Vec<u8>, JobProfile, usize, f64, u64)> {
-        let cluster = measurement_cluster(config.workers);
-        let dfs = Dfs::new(
-            cluster,
-            DfsOptions {
-                block_size: 8 << 20,
-                replication: 3,
-                policy: Box::new(ColocatingPlacement),
-            },
-        );
-        let layout = SsbLayout::default();
-        loader::load(
-            &dfs,
-            SsbGen::new(config.sf, config.seed),
-            &layout,
-            &loader::LoadOpts {
-                rows_per_group: config.rows_per_group,
-                cif: true,
-                rcfile: false,
-                text: false,
-                cluster_by_date: true,
-            },
-        )?;
+        let (dfs, layout) = load(config, false)?;
         let mut clyde = Clydesdale::new(Arc::clone(&dfs), layout);
         if let Some(f) = faults {
             clyde = clyde.with_faults(Arc::new(f));
@@ -412,34 +405,10 @@ pub struct FaultImpact {
 /// plan stays dead for the next — which is exactly how a real cluster looks
 /// to a sequence of jobs.
 pub fn fault_impact(config: &MeasurementConfig, seed: u64) -> Result<Vec<FaultImpact>> {
-    let build = || -> Result<(Arc<Dfs>, SsbLayout)> {
-        let dfs = Dfs::new(
-            measurement_cluster(config.workers),
-            DfsOptions {
-                block_size: 8 << 20,
-                replication: 3,
-                policy: Box::new(ColocatingPlacement),
-            },
-        );
-        let layout = SsbLayout::default();
-        loader::load(
-            &dfs,
-            SsbGen::new(config.sf, config.seed),
-            &layout,
-            &loader::LoadOpts {
-                rows_per_group: config.rows_per_group,
-                cif: true,
-                rcfile: false,
-                text: false,
-                cluster_by_date: true,
-            },
-        )?;
-        Ok((dfs, layout))
-    };
-    let (clean_dfs, clean_layout) = build()?;
+    let (clean_dfs, clean_layout) = load(config, false)?;
     let clean = Clydesdale::new(clean_dfs, clean_layout);
     clean.warm_dimension_cache()?;
-    let (fault_dfs, fault_layout) = build()?;
+    let (fault_dfs, fault_layout) = load(config, false)?;
     let plan = FaultPlan::named("combined", seed).expect("combined is a known plan");
     let faulted = Clydesdale::new(fault_dfs, fault_layout).with_faults(Arc::new(plan));
     faulted.warm_dimension_cache()?;
@@ -755,6 +724,16 @@ mod tests {
             rows_per_group: 2_000,
             validate: true,
         }
+    }
+
+    #[test]
+    fn unknown_fault_plans_are_plan_errors() {
+        let q = clyde_ssb::query_by_id("Q2.1").unwrap();
+        let err = run_fault_cell(&tiny_config(), &q, "bogus", 46).unwrap_err();
+        assert!(
+            matches!(err, ClydeError::Plan(ref m) if m.contains("slow-node")),
+            "{err}"
+        );
     }
 
     #[test]

@@ -1,7 +1,7 @@
 //! `clyde-profdiff`: attribute the delta between two performance artifacts
 //! to named phases and counters.
 //!
-//! Three artifact kinds are auto-detected:
+//! Two artifact kinds are auto-detected:
 //!
 //! * **Query-profile bundles** (`{"format":"clyde-profiles",...}`, written by
 //!   the `profile` binary / [`crate::harness::profile_suite`]) — per-query
@@ -10,13 +10,11 @@
 //!   map/reduce stage delta across its per-phase critical-path deltas when
 //!   those are well-conditioned, so a regression reads "Q2.1 −12%: probe
 //!   +9%, shuffle merge +3%" instead of a bare number.
-//! * **Chrome traces** (`{"traceEvents":[...]}`) — stage spans and the
-//!   final-sort span per job process give stage-level attribution.
 //! * **`bench_probe` artifacts** (`BENCH_probe.json` and friends) — probe
 //!   throughput and per-ablation-layer benefits; deltas are reported per
 //!   query and per optimization layer.
 //!
-//! Everything sums: for profile and trace pairs the named components add up
+//! Everything sums: for profile pairs the named components add up
 //! to the full makespan delta (coverage 1.0) unless the job structure
 //! itself changed, in which case the residual is reported as its own
 //! component.
@@ -31,16 +29,16 @@ const HEADLINE_MIN_PCT: f64 = 0.05;
 /// agree with the stage delta in sign and explain at least half of it.
 const PHASE_CONDITION_MIN: f64 = 0.5;
 
-/// One query (or job process) extracted from an artifact, reduced to
-/// additive components.
+/// One query extracted from a profile bundle, reduced to additive
+/// components.
 #[derive(Debug, Clone)]
 pub struct QueryRecord {
     pub name: String,
     pub total_s: f64,
     /// Additive stage components `(name, seconds)`; they sum to `total_s`.
     pub stages: Vec<(String, f64)>,
-    /// Per-stage phase critical-path seconds (profiles only), used to
-    /// sub-attribute a stage's delta.
+    /// Per-stage phase critical-path seconds, used to sub-attribute a
+    /// stage's delta.
     pub stage_phases: Vec<(String, Vec<(String, f64)>)>,
 }
 
@@ -74,11 +72,8 @@ pub struct ProbeRecord {
 /// A parsed artifact.
 #[derive(Debug, Clone)]
 pub enum Artifact {
-    /// Makespan-bearing artifacts: query-profile bundles and Chrome traces.
-    Makespans {
-        kind: &'static str,
-        queries: Vec<QueryRecord>,
-    },
+    /// Query-profile bundles: per-query makespans.
+    Profiles(Vec<QueryRecord>),
     /// `bench_probe` throughput artifacts.
     Probe(Vec<ProbeRecord>),
 }
@@ -86,7 +81,7 @@ pub enum Artifact {
 impl Artifact {
     pub fn kind(&self) -> &'static str {
         match self {
-            Artifact::Makespans { kind, .. } => kind,
+            Artifact::Profiles(_) => "clyde-profiles",
             Artifact::Probe(_) => "bench-probe",
         }
     }
@@ -109,9 +104,6 @@ pub fn parse_artifact(text: &str) -> Result<Artifact, String> {
     if doc.get("format").and_then(|f| f.as_str()) == Some("clyde-profiles") {
         return parse_profiles(&doc);
     }
-    if doc.get("traceEvents").is_some() {
-        return parse_trace(&doc);
-    }
     if let Some(queries) = doc.get("queries") {
         let probe_like = obj_entries(queries)
             .first()
@@ -120,11 +112,7 @@ pub fn parse_artifact(text: &str) -> Result<Artifact, String> {
             return parse_probe(queries);
         }
     }
-    Err(
-        "unrecognized artifact: expected a clyde-profiles bundle, a Chrome trace, \
-         or a bench_probe JSON"
-            .to_string(),
-    )
+    Err("unrecognized artifact: expected a clyde-profiles bundle or a bench_probe JSON".to_string())
 }
 
 fn parse_profiles(doc: &Json) -> Result<Artifact, String> {
@@ -179,77 +167,7 @@ fn parse_profiles(doc: &Json) -> Result<Artifact, String> {
             stage_phases,
         });
     }
-    Ok(Artifact::Makespans {
-        kind: "clyde-profiles",
-        queries: out,
-    })
-}
-
-fn parse_trace(doc: &Json) -> Result<Artifact, String> {
-    let events = doc
-        .get("traceEvents")
-        .and_then(|e| e.as_arr())
-        .ok_or("trace has no traceEvents array")?;
-    // pid -> display name, then pid -> stage sums.
-    let mut names: Vec<(f64, String)> = Vec::new();
-    let mut records: Vec<(f64, QueryRecord)> = Vec::new();
-    for e in events {
-        let name = e.get("name").and_then(|n| n.as_str()).unwrap_or("");
-        let pid = num(e, "pid");
-        if name == "process_name" {
-            if let Some(pname) = e
-                .get("args")
-                .and_then(|a| a.get("name"))
-                .and_then(|n| n.as_str())
-            {
-                names.push((pid, pname.to_string()));
-            }
-            continue;
-        }
-        let cat = e.get("cat").and_then(|c| c.as_str()).unwrap_or("");
-        let is_stage = cat == "stage";
-        let is_final_sort = cat == "phase" && name == "final-sort";
-        if !is_stage && !is_final_sort {
-            continue;
-        }
-        let secs = num(e, "dur") / 1e6;
-        let rec = match records.iter_mut().find(|(p, _)| *p == pid) {
-            Some((_, r)) => r,
-            None => {
-                records.push((
-                    pid,
-                    QueryRecord {
-                        name: String::new(),
-                        total_s: 0.0,
-                        stages: Vec::new(),
-                        stage_phases: Vec::new(),
-                    },
-                ));
-                &mut records.last_mut().expect("just pushed").1
-            }
-        };
-        match rec.stages.iter_mut().find(|(n, _)| n == name) {
-            Some((_, v)) => *v += secs,
-            None => rec.stages.push((name.to_string(), secs)),
-        }
-        rec.total_s += secs;
-    }
-    let mut out = Vec::with_capacity(records.len());
-    for (pid, mut rec) in records {
-        rec.name = names
-            .iter()
-            .find(|(p, _)| *p == pid)
-            .map(|(_, n)| n.clone())
-            .unwrap_or_else(|| format!("pid{pid}"));
-        out.push(rec);
-    }
-    if out.is_empty() {
-        return Err("trace contains no stage spans".to_string());
-    }
-    Ok(Artifact::Makespans {
-        kind: "chrome-trace",
-        queries: out,
-    })
+    Ok(Artifact::Profiles(out))
 }
 
 fn parse_probe(queries: &Json) -> Result<Artifact, String> {
@@ -471,19 +389,7 @@ fn diff_probe(before: &[ProbeRecord], after: &[ProbeRecord]) -> Vec<String> {
 /// Diff two artifacts of the same kind.
 pub fn diff(before: &Artifact, after: &Artifact) -> Result<DiffReport, String> {
     match (before, after) {
-        (
-            Artifact::Makespans {
-                kind: bk,
-                queries: bq,
-            },
-            Artifact::Makespans {
-                kind: ak,
-                queries: aq,
-            },
-        ) => {
-            if bk != ak {
-                return Err(format!("artifact kinds differ: {bk} vs {ak}"));
-            }
+        (Artifact::Profiles(bq), Artifact::Profiles(aq)) => {
             let mut out = Vec::new();
             for b in bq {
                 match aq.iter().find(|r| r.name == b.name) {
@@ -507,7 +413,7 @@ pub fn diff(before: &Artifact, after: &Artifact) -> Result<DiffReport, String> {
                 }
             }
             Ok(DiffReport {
-                kind: bk,
+                kind: before.kind(),
                 queries: out,
                 probe_lines: Vec::new(),
             })
@@ -680,10 +586,7 @@ mod tests {
     #[test]
     fn kind_mismatch_is_an_error() {
         let p = Artifact::Probe(Vec::new());
-        let m = Artifact::Makespans {
-            kind: "clyde-profiles",
-            queries: Vec::new(),
-        };
+        let m = Artifact::Profiles(Vec::new());
         assert!(diff(&p, &m).is_err());
     }
 }

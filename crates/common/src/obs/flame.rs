@@ -2,13 +2,13 @@
 //! utilization timelines, and shuffle volume matrices.
 //!
 //! Everything here is computed over *simulated* time, so each view is a pure
-//! function of the recorded spans / job history and renders byte-identically
-//! across runs and host thread counts. The collapsed-stack output is the
-//! standard `frame;frame;frame value` format consumed by flamegraph.pl,
-//! inferno, and speedscope; values are self-time microseconds.
+//! function of the job histories and renders byte-identically across runs
+//! and host thread counts. The collapsed-stack output is the standard
+//! `frame;frame;frame value` format consumed by flamegraph.pl, inferno, and
+//! speedscope; values are self-time microseconds.
 
 use super::history::{JobHistory, TaskKind};
-use super::span::{Span, SpanRecorder};
+use super::trace::job_events;
 use std::collections::BTreeMap;
 
 fn frame(name: &str) -> String {
@@ -16,44 +16,35 @@ fn frame(name: &str) -> String {
     name.replace(';', ":")
 }
 
-/// Export every recorded span as collapsed stacks with self-time values
-/// (microseconds of simulated time). Lines are sorted and duplicate stacks
-/// merged, so equal span sets always serialize identically.
-pub fn collapsed(rec: &SpanRecorder) -> String {
-    let spans = rec.spans();
-    let procs: BTreeMap<u32, String> = rec.processes().into_iter().collect();
-    // Span ids index the recorder's list, but be defensive and key by id.
-    let by_id: BTreeMap<u32, &Span> = spans.iter().map(|s| (s.id.0, s)).collect();
-    let mut child_us: BTreeMap<u32, u64> = BTreeMap::new();
-    for s in &spans {
-        if let Some(parent) = s.parent {
-            *child_us.entry(parent.0).or_insert(0) += s.dur_us;
-        }
-    }
+/// Export the span view of `histories` (see [`super::trace`]) as collapsed
+/// stacks with self-time values (microseconds of simulated time): an
+/// event's duration minus its children's. Lines are sorted and duplicate
+/// stacks merged, so equal histories always serialize identically.
+pub fn collapsed(histories: &[JobHistory]) -> String {
     let mut stacks: BTreeMap<String, u64> = BTreeMap::new();
-    for s in &spans {
-        let self_us = s
-            .dur_us
-            .saturating_sub(*child_us.get(&s.id.0).unwrap_or(&0));
-        if self_us == 0 {
-            continue;
-        }
-        let mut frames = vec![frame(&s.name)];
-        let mut cur = s.parent;
-        while let Some(pid) = cur {
-            match by_id.get(&pid.0) {
-                Some(p) => {
-                    frames.push(frame(&p.name));
-                    cur = p.parent;
-                }
-                None => break,
+    for h in histories {
+        let (_, events) = job_events(h);
+        let mut child_us = vec![0u64; events.len()];
+        for e in &events {
+            if let Some(parent) = e.parent {
+                child_us[parent] += e.dur_us;
             }
         }
-        if let Some(pname) = procs.get(&s.pid) {
-            frames.push(frame(pname));
+        for (e, child) in events.iter().zip(&child_us) {
+            let self_us = e.dur_us.saturating_sub(*child);
+            if self_us == 0 {
+                continue;
+            }
+            let mut frames = vec![frame(&e.name)];
+            let mut cur = e.parent;
+            while let Some(p) = cur {
+                frames.push(frame(&events[p].name));
+                cur = events[p].parent;
+            }
+            frames.push(frame(&h.name));
+            frames.reverse();
+            *stacks.entry(frames.join(";")).or_insert(0) += self_us;
         }
-        frames.reverse();
-        *stacks.entry(frames.join(";")).or_insert(0) += self_us;
     }
     let mut out = String::new();
     for (stack, value) in &stacks {
@@ -178,55 +169,52 @@ pub fn shuffle_matrix(h: &JobHistory) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::obs::history::TaskLane;
-    use crate::obs::span::SpanKind;
+    use crate::obs::history::{Phase, PhaseSlice, TaskLane};
 
     #[test]
     fn collapsed_attributes_self_time_and_sorts() {
-        let r = SpanRecorder::enabled();
-        let pid = r.new_process("job q2.1 #0");
-        let root = r
-            .span(None, SpanKind::Job, "job q2.1", pid, 0, 0, 100, Vec::new())
-            .unwrap();
-        let stage = r
-            .span(
-                Some(root),
-                SpanKind::Stage,
-                "map",
-                pid,
-                0,
-                0,
-                80,
-                Vec::new(),
-            )
-            .unwrap();
-        r.span(
-            Some(stage),
-            SpanKind::Phase,
-            "probe",
-            pid,
-            1,
-            0,
-            50,
-            Vec::new(),
-        );
-        let text = collapsed(&r);
+        let mut probe = lane(TaskKind::Map, 0, 0, 0.0, 50e-6);
+        probe.phases = vec![PhaseSlice {
+            phase: Phase::Probe,
+            start_s: 0.0,
+            dur_s: 30e-6,
+            note: None,
+        }];
+        let h = JobHistory {
+            name: "job q2.1".into(),
+            map_s: 80e-6,
+            overhead_s: 20e-6,
+            tasks: vec![probe],
+            final_sort: Some((1, 5e-6)),
+            ..JobHistory::default()
+        };
+        let text = collapsed(std::slice::from_ref(&h));
         let lines: Vec<&str> = text.lines().collect();
         assert_eq!(
             lines,
             vec![
-                "job q2.1 #0;job q2.1 20",
-                "job q2.1 #0;job q2.1;map 30",
-                "job q2.1 #0;job q2.1;map;probe 50",
+                "job q2.1;final-sort 5",
+                "job q2.1;job q2.1;map 30",
+                "job q2.1;job q2.1;map;map 0 20",
+                "job q2.1;job q2.1;map;map 0;probe 30",
+                "job q2.1;job q2.1;overhead 20",
             ]
         );
-        // Same spans -> identical bytes.
-        assert_eq!(text, collapsed(&r));
+        // Same histories -> identical bytes; equal stacks merge.
+        assert_eq!(text, collapsed(std::slice::from_ref(&h)));
+        let twice = collapsed(&[h.clone(), h]);
+        assert!(twice.contains("job q2.1;job q2.1;map;map 0;probe 60\n"));
     }
 
     #[test]
     fn collapsed_handles_disabled_recorder() {
-        assert_eq!(collapsed(&SpanRecorder::disabled()), "");
+        let obs = crate::obs::Obs::disabled();
+        obs.record_job(JobHistory {
+            map_s: 1.0,
+            ..JobHistory::default()
+        });
+        assert_eq!(obs.flamegraph(), "");
+        assert_eq!(collapsed(&[]), "");
     }
 
     fn lane(kind: TaskKind, node: usize, slot: u32, start: f64, dur: f64) -> TaskLane {

@@ -3,9 +3,9 @@
 //!
 //! A [`JobHistory`] is the structured record of one executed job — the analog
 //! of Hadoop's job-history log plus its per-task counters (paper Section 6
-//! reads all of its measurements from those). Engines build one per job; the
-//! trace exporter turns it into Chrome trace-event spans and the text
-//! summary renders the same data for terminals.
+//! reads all of its measurements from those). Engines build one per job, and
+//! it is the one record of that job: the Chrome trace, the flamegraph, the
+//! query profiles and the text summary are all rendered from it.
 
 /// Map-side vs reduce-side lane.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
@@ -284,6 +284,11 @@ pub struct JobHistory {
     pub io: Vec<IoBytes>,
     /// Replica reads rejected by checksum verification during this job.
     pub corrupt_reads: u64,
+    /// The job's output came from the result cache; no task ran.
+    pub served_from_cache: bool,
+    /// The client-side final sort that followed this job, as (result rows,
+    /// simulated seconds); set by the query layer on a query's last job.
+    pub final_sort: Option<(usize, f64)>,
     pub tasks: Vec<TaskLane>,
 }
 

@@ -1,13 +1,14 @@
-//! Observability: hierarchical spans, a unified metrics registry, and
-//! job-history reports.
+//! Observability: job histories, a unified metrics registry, and the
+//! views rendered from them.
 //!
 //! The paper's evaluation (Section 6) reads everything — the Q2.1 time
 //! breakdown, effective scan bandwidth, locality — from Hadoop's per-task
 //! counters and job-history logs. [`Obs`] is our equivalent: engines record
-//! a [`JobHistory`] per job, spans mirror the cost model's simulated
-//! timeline (exportable as deterministic Chrome trace JSON for Perfetto),
-//! and the [`MetricsRegistry`] unifies the counters that used to live in
-//! `TaskCost`, the DFS I/O snapshot, and the scheduler.
+//! a [`JobHistory`] per job, and that history is the one record of the job.
+//! The Chrome trace ([`trace`], deterministic JSON for Perfetto) and the
+//! collapsed-stack flamegraph ([`flame`]) are pure functions of the recorded
+//! histories. The [`MetricsRegistry`] unifies the counters that used to live
+//! in `TaskCost`, the DFS I/O snapshot, and the scheduler.
 //!
 //! `Obs::disabled()` is a zero-overhead no-op; instrumented code guards
 //! expensive collection behind [`Obs::is_enabled`].
@@ -18,7 +19,6 @@ pub mod json;
 pub mod metrics;
 pub mod profile;
 pub mod server;
-pub mod span;
 pub mod trace;
 pub mod wall;
 
@@ -28,58 +28,38 @@ pub use profile::{
     profiles_json, JobProfileReport, PhaseRow, QueryProfile, StageRow, DRIFT_THRESHOLD_PCT,
 };
 pub use server::{RejectedLane, ServedLane, ServerRun};
-pub use span::{us, Span, SpanId, SpanKind, SpanRecorder};
 pub use wall::WallTimer;
 
 use crate::lockorder::Mutex;
 use std::sync::Arc;
 
-/// Handle to the most recently recorded job's trace location, so callers
-/// (e.g. the query layer adding a final-sort span) can append to the same
-/// track.
-#[derive(Debug, Clone, Copy)]
-pub struct JobRef {
-    pub pid: u32,
-    pub root: SpanId,
-    /// Simulated end of the job (seconds) — where appended work starts.
-    pub total_s: f64,
-}
-
 /// The observability hub shared across DFS, engine, query layer, and bench
 /// harness. Cheap to clone via `Arc`.
 pub struct Obs {
     enabled: bool,
-    spans: SpanRecorder,
     metrics: MetricsRegistry,
     histories: Mutex<Vec<JobHistory>>,
     profiles: Mutex<Vec<QueryProfile>>,
     server_runs: Mutex<Vec<ServerRun>>,
-    last_job: Mutex<Option<JobRef>>,
 }
 
 impl Obs {
     pub fn enabled() -> Arc<Obs> {
-        Arc::new(Obs {
-            enabled: true,
-            spans: SpanRecorder::enabled(),
-            metrics: MetricsRegistry::enabled(),
-            histories: Mutex::new(Vec::new()),
-            profiles: Mutex::new(Vec::new()),
-            server_runs: Mutex::new(Vec::new()),
-            last_job: Mutex::new(None),
-        })
+        Obs::new(true, MetricsRegistry::enabled())
     }
 
     /// The no-op hub: recording and metric updates cost nothing.
     pub fn disabled() -> Arc<Obs> {
+        Obs::new(false, MetricsRegistry::disabled())
+    }
+
+    fn new(enabled: bool, metrics: MetricsRegistry) -> Arc<Obs> {
         Arc::new(Obs {
-            enabled: false,
-            spans: SpanRecorder::disabled(),
-            metrics: MetricsRegistry::disabled(),
+            enabled,
+            metrics,
             histories: Mutex::new(Vec::new()),
             profiles: Mutex::new(Vec::new()),
             server_runs: Mutex::new(Vec::new()),
-            last_job: Mutex::new(None),
         })
     }
 
@@ -87,30 +67,23 @@ impl Obs {
         self.enabled
     }
 
-    pub fn spans(&self) -> &SpanRecorder {
-        &self.spans
-    }
-
     pub fn metrics(&self) -> &MetricsRegistry {
         &self.metrics
     }
 
-    /// Record a finished job: stores the history and projects it into the
-    /// span recorder. Returns the job's trace location.
-    pub fn record_job(&self, h: JobHistory) -> Option<JobRef> {
-        if !self.enabled {
-            return None;
+    /// Record a finished job's history.
+    pub fn record_job(&self, h: JobHistory) {
+        if self.enabled {
+            self.histories.lock().push(h);
         }
-        let total_s = h.end_s();
-        let job_ref =
-            trace::record_job(&self.spans, &h).map(|(pid, root)| JobRef { pid, root, total_s });
-        self.histories.lock().push(h);
-        *self.last_job.lock() = job_ref;
-        job_ref
     }
 
-    pub fn last_job(&self) -> Option<JobRef> {
-        *self.last_job.lock()
+    /// Attach the client-side final sort (result rows, simulated seconds)
+    /// to the most recently recorded job.
+    pub fn record_final_sort(&self, rows: usize, secs: f64) {
+        if let Some(h) = self.histories.lock().last_mut() {
+            h.final_sort = Some((rows, secs));
+        }
     }
 
     /// Run `f` over every recorded job history, in recording order.
@@ -142,15 +115,16 @@ impl Obs {
         f(&self.profiles.lock())
     }
 
-    /// Collapsed-stack flamegraph export of every recorded span
-    /// (deterministic over simulated time; see [`flame::collapsed`]).
+    /// Collapsed-stack flamegraph of every recorded job (deterministic over
+    /// simulated time; see [`flame::collapsed`]).
     pub fn flamegraph(&self) -> String {
-        flame::collapsed(&self.spans)
+        self.with_histories(flame::collapsed)
     }
 
-    /// Serialize all recorded spans as Chrome trace-event JSON.
+    /// Every recorded job as Chrome trace-event JSON (see
+    /// [`trace::chrome_trace`]).
     pub fn chrome_trace(&self) -> String {
-        trace::chrome_trace(&self.spans)
+        self.with_histories(trace::chrome_trace)
     }
 
     /// Per-job summaries followed by the metrics snapshot, as text.
@@ -178,14 +152,13 @@ impl Obs {
         out
     }
 
-    /// Clear spans, metrics, and histories (e.g. between bench iterations).
+    /// Clear metrics, histories, profiles and server runs (e.g. between
+    /// bench iterations).
     pub fn reset(&self) {
-        self.spans.reset();
         self.metrics.reset();
         self.histories.lock().clear();
         self.profiles.lock().clear();
         self.server_runs.lock().clear();
-        *self.last_job.lock() = None;
     }
 }
 
@@ -202,10 +175,11 @@ mod tests {
             map_s: 1.0,
             ..JobHistory::default()
         };
-        assert!(obs.record_job(h).is_none());
-        assert!(obs.last_job().is_none());
+        obs.record_job(h);
+        obs.record_final_sort(3, 0.5);
         obs.with_histories(|hs| assert!(hs.is_empty()));
         assert!(obs.summary().is_empty());
+        assert_eq!(obs.flamegraph(), "");
     }
 
     #[test]
@@ -217,10 +191,18 @@ mod tests {
             map_s: 2.0,
             ..JobHistory::default()
         };
-        let j = obs.record_job(h).unwrap();
-        assert_eq!(j.total_s, 2.0);
-        assert_eq!(obs.last_job().unwrap().pid, j.pid);
-        obs.with_histories(|hs| assert_eq!(hs.len(), 1));
+        obs.record_job(h.clone());
+        obs.record_job(h);
+        obs.record_final_sort(3, 0.5);
+        // The final sort lands on the last job only, one trace process each.
+        obs.with_histories(|hs| {
+            assert_eq!(hs.len(), 2);
+            assert_eq!(hs[0].final_sort, None);
+            assert_eq!(hs[1].final_sort, Some((3, 0.5)));
+        });
+        let trace = obs.chrome_trace();
+        assert!(trace.contains(r#""name":"final-sort","cat":"phase","ph":"X","ts":2000000,"dur":500000,"pid":1,"tid":0"#));
+        assert!(!trace.contains(r#""pid":2"#));
         assert!(obs.summary().contains("job j"));
         assert!(obs.summary().contains("mapred.jobs = 1"));
         obs.record_query_profile(QueryProfile::from_histories("Q1.1", &[], 0.5));
@@ -228,7 +210,6 @@ mod tests {
         obs.reset();
         obs.with_histories(|hs| assert!(hs.is_empty()));
         obs.with_query_profiles(|ps| assert!(ps.is_empty()));
-        assert!(obs.last_job().is_none());
-        assert!(obs.spans().spans().is_empty());
+        assert_eq!(obs.flamegraph(), "");
     }
 }

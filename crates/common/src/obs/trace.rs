@@ -1,52 +1,80 @@
-//! Chrome trace-event export: turn recorded spans into deterministic JSON
-//! loadable by Perfetto / `chrome://tracing`, and project a [`JobHistory`]
-//! into the span recorder.
+//! The span view of job histories, and its Chrome trace-event export:
+//! deterministic JSON loadable by Perfetto / `chrome://tracing`.
 //!
-//! Layout: one trace *process* per job; thread 0 is the job/stage lane and
-//! each (task kind, node, slot) gets its own lane. All timestamps are
-//! simulated microseconds, so two identical runs serialize byte-identically.
+//! Layout: one trace *process* per recorded [`JobHistory`] (pid = its
+//! index); thread 0 is the job/stage lane and each (task kind, node, slot)
+//! gets its own lane. Every event is a pure function of the history — all
+//! timestamps are simulated microseconds, and wall-clock readings
+//! ([`TaskLane::wall_ns`]) stay out — so two identical runs serialize
+//! byte-identically.
 
 use super::history::{JobHistory, TaskKind, TaskLane};
 use super::json::escape;
-use super::span::{us, Span, SpanId, SpanKind, SpanRecorder};
 use std::collections::BTreeMap;
 
-/// Project a job history into the recorder as a span tree. Returns the
-/// (pid, job root span) pair, or `None` when the recorder is disabled.
-pub fn record_job(rec: &SpanRecorder, h: &JobHistory) -> Option<(u32, SpanId)> {
-    if !rec.is_enabled() {
-        return None;
-    }
-    let pid = rec.new_process(&h.name);
-    rec.name_thread(pid, 0, "job");
+/// Convert simulated seconds to trace microseconds (deterministic rounding).
+fn us(seconds: f64) -> u64 {
+    (seconds * 1e6).round().max(0.0) as u64
+}
 
+/// One interval of a job's span view: job → stage → task → phase.
+pub(super) struct Event {
+    /// Index of the enclosing event in the same job's list.
+    pub parent: Option<usize>,
+    /// Chrome trace-event category: "job", "stage", "task" or "phase".
+    pub cat: &'static str,
+    pub name: String,
+    pub tid: u32,
+    /// Simulated start, microseconds from server start.
+    pub ts_us: u64,
+    pub dur_us: u64,
+    pub args: Vec<(String, String)>,
+}
+
+/// The span view of one job: its lane names (index = tid) and its events,
+/// parents before children.
+pub(super) fn job_events(h: &JobHistory) -> (Vec<String>, Vec<Event>) {
     // Deterministic lane numbering: map lanes first, then reduce lanes,
     // ordered by (node, slot).
     let mut lanes: BTreeMap<(TaskKind, usize, u32), u32> = BTreeMap::new();
     for t in &h.tasks {
         lanes.entry((t.kind, t.node, t.slot)).or_insert(0);
     }
-    for (i, ((kind, node, slot), tid)) in lanes.iter_mut().enumerate() {
-        *tid = i as u32 + 1;
-        rec.name_thread(
-            pid,
-            *tid,
-            &format!("{} node{} slot{}", kind.label(), node, slot),
-        );
+    let mut lane_names = vec!["job".to_string()];
+    for ((kind, node, slot), tid) in lanes.iter_mut() {
+        *tid = lane_names.len() as u32;
+        lane_names.push(format!("{} node{} slot{}", kind.label(), node, slot));
     }
+    let mut events = Vec::new();
+    let mut push = |parent: Option<usize>,
+                    cat: &'static str,
+                    name: &str,
+                    tid: u32,
+                    ts_us: u64,
+                    dur_us: u64,
+                    args: Vec<(String, String)>| {
+        events.push(Event {
+            parent,
+            cat,
+            name: name.to_string(),
+            tid,
+            ts_us,
+            dur_us,
+            args,
+        });
+        events.len() - 1
+    };
 
     // Server-scheduled jobs start at their admission time on the shared
-    // timeline; solo runs keep `t0_s == 0` and serialize exactly as before.
+    // timeline; solo runs keep `t0_s == 0`.
     let t0_us = us(h.t0_s);
-    let total_us = us(h.end_s()).saturating_sub(t0_us);
-    let root = rec.span(
+    let root = push(
         None,
-        SpanKind::Job,
+        "job",
         &h.name,
-        pid,
         0,
         t0_us,
-        total_us,
+        us(h.end_s()).saturating_sub(t0_us),
         vec![
             ("map_tasks".into(), h.lanes(TaskKind::Map).len().to_string()),
             (
@@ -62,11 +90,11 @@ pub fn record_job(rec: &SpanRecorder, h: &JobHistory) -> Option<(u32, SpanId)> {
         .chain(server_args(h))
         .chain(recovery_args(h))
         .collect(),
-    )?;
+    );
 
     // Stage band on the job lane: setup | map | shuffle | reduce | overhead.
     let mut t = h.t0_s;
-    let mut stage_ids: BTreeMap<TaskKind, SpanId> = BTreeMap::new();
+    let mut stage_ids: BTreeMap<TaskKind, usize> = BTreeMap::new();
     for (name, dur, kind) in [
         ("setup", h.setup_s, None),
         ("map", h.map_s, Some(TaskKind::Map)),
@@ -88,16 +116,15 @@ pub fn record_job(rec: &SpanRecorder, h: &JobHistory) -> Option<(u32, SpanId)> {
             args.push(("combine_in".into(), h.combine_input_records.to_string()));
             args.push(("combine_out".into(), h.combine_output_records.to_string()));
         }
-        let id = rec.span(
+        let id = push(
             Some(root),
-            SpanKind::Stage,
+            "stage",
             name,
-            pid,
             0,
             us(t),
             us(t + dur).saturating_sub(us(t)),
             args,
-        )?;
+        );
         if let Some(k) = kind {
             stage_ids.insert(k, id);
         }
@@ -106,7 +133,7 @@ pub fn record_job(rec: &SpanRecorder, h: &JobHistory) -> Option<(u32, SpanId)> {
 
     for task in &h.tasks {
         let tid = lanes[&(task.kind, task.node, task.slot)];
-        let parent = stage_ids.get(&task.kind).copied().or(Some(root));
+        let parent = stage_ids.get(&task.kind).copied().unwrap_or(root);
         let t_start = us(task.start_s);
         let t_dur = us(task.finish_s()).saturating_sub(t_start);
         let name = if task.speculative {
@@ -114,16 +141,15 @@ pub fn record_job(rec: &SpanRecorder, h: &JobHistory) -> Option<(u32, SpanId)> {
         } else {
             format!("{} {}", task.kind.label(), task.index)
         };
-        let tspan = rec.span(
-            parent,
-            SpanKind::Task,
+        let tspan = push(
+            Some(parent),
+            "task",
             &name,
-            pid,
             tid,
             t_start,
             t_dur,
             task_args(task),
-        )?;
+        );
         for ph in &task.phases {
             if ph.dur_s <= 0.0 {
                 continue;
@@ -132,15 +158,11 @@ pub fn record_job(rec: &SpanRecorder, h: &JobHistory) -> Option<(u32, SpanId)> {
             // breaks parent/child nesting in the viewer.
             let p_start = us(ph.start_s).clamp(t_start, t_start + t_dur);
             let p_end = us(ph.start_s + ph.dur_s).clamp(p_start, t_start + t_dur);
-            let mut args = Vec::new();
-            if let Some(note) = &ph.note {
-                args.push(("note".into(), note.clone()));
-            }
-            rec.span(
+            let args = ph.note.iter().map(|n| ("note".into(), n.clone())).collect();
+            push(
                 Some(tspan),
-                SpanKind::Phase,
+                "phase",
                 ph.phase.label(),
-                pid,
                 tid,
                 p_start,
                 p_end - p_start,
@@ -148,11 +170,38 @@ pub fn record_job(rec: &SpanRecorder, h: &JobHistory) -> Option<(u32, SpanId)> {
             );
         }
     }
-    Some((pid, root))
+
+    // Bands outside the job span, on the job lane: the cached-read band
+    // (truncated, not rounded, to microseconds) and the client-side sort
+    // that starts where the job ends.
+    if h.served_from_cache {
+        push(
+            None,
+            "phase",
+            "served-from-cache",
+            0,
+            (h.t0_s * 1e6) as u64,
+            (h.total_s() * 1e6) as u64,
+            vec![("job".into(), h.name.clone())],
+        );
+    }
+    if let Some((rows, secs)) = h.final_sort {
+        let end = h.end_s();
+        push(
+            None,
+            "phase",
+            "final-sort",
+            0,
+            us(end),
+            us(end + secs).saturating_sub(us(end)),
+            vec![("rows".into(), rows.to_string())],
+        );
+    }
+    (lane_names, events)
 }
 
 /// Job-server args for the job span, emitted only for server-scheduled jobs
-/// (non-empty tenant) so solo-run traces are byte-identical to before.
+/// (non-empty tenant) so solo-run traces carry none.
 fn server_args(h: &JobHistory) -> Vec<(String, String)> {
     let mut args = Vec::new();
     if !h.tenant.is_empty() {
@@ -163,7 +212,7 @@ fn server_args(h: &JobHistory) -> Vec<(String, String)> {
 }
 
 /// Recovery-action args for the job span, emitted only when an action
-/// actually fired so clean-run traces are byte-identical to before.
+/// actually fired so clean-run traces carry none.
 fn recovery_args(h: &JobHistory) -> Vec<(String, String)> {
     let mut args = Vec::new();
     if h.speculative_attempts > 0 {
@@ -205,49 +254,44 @@ fn task_args(task: &TaskLane) -> Vec<(String, String)> {
     args
 }
 
-/// Serialize recorder contents as Chrome trace-event JSON.
+/// Serialize the span view of `histories` as Chrome trace-event JSON.
 ///
 /// Events are ordered: process metadata (by pid), thread metadata (by pid,
-/// tid), then complete ("X") events sorted by (pid, tid, ts, -dur, id) —
-/// which makes `ts` monotone non-decreasing within every track and keeps
-/// output byte-stable across runs.
-pub fn chrome_trace(rec: &SpanRecorder) -> String {
+/// tid), then complete ("X") events sorted by (pid, tid, ts, -dur, event
+/// order) — which makes `ts` monotone non-decreasing within every track and
+/// keeps output byte-stable across runs.
+pub fn chrome_trace(histories: &[JobHistory]) -> String {
+    let views: Vec<_> = histories.iter().map(job_events).collect();
     let mut events: Vec<String> = Vec::new();
-    let mut processes = rec.processes();
-    processes.sort_by_key(|p| p.0);
-    for (pid, name) in &processes {
+    for (pid, h) in histories.iter().enumerate() {
         events.push(format!(
             r#"{{"name":"process_name","ph":"M","pid":{pid},"tid":0,"args":{{"name":"{}"}}}}"#,
-            escape(name)
+            escape(&h.name)
         ));
         events.push(format!(
             r#"{{"name":"process_sort_index","ph":"M","pid":{pid},"tid":0,"args":{{"sort_index":{pid}}}}}"#
         ));
     }
-    let mut threads = rec.threads();
-    threads.sort_by_key(|t| (t.0, t.1));
-    for (pid, tid, name) in &threads {
-        events.push(format!(
-            r#"{{"name":"thread_name","ph":"M","pid":{pid},"tid":{tid},"args":{{"name":"{}"}}}}"#,
-            escape(name)
-        ));
-        events.push(format!(
-            r#"{{"name":"thread_sort_index","ph":"M","pid":{pid},"tid":{tid},"args":{{"sort_index":{tid}}}}}"#
-        ));
+    for (pid, (lanes, _)) in views.iter().enumerate() {
+        for (tid, name) in lanes.iter().enumerate() {
+            events.push(format!(
+                r#"{{"name":"thread_name","ph":"M","pid":{pid},"tid":{tid},"args":{{"name":"{}"}}}}"#,
+                escape(name)
+            ));
+            events.push(format!(
+                r#"{{"name":"thread_sort_index","ph":"M","pid":{pid},"tid":{tid},"args":{{"sort_index":{tid}}}}}"#
+            ));
+        }
     }
 
-    let mut spans = rec.spans();
-    spans.sort_by(|a, b| {
-        (a.pid, a.tid, a.ts_us, std::cmp::Reverse(a.dur_us), a.id.0).cmp(&(
-            b.pid,
-            b.tid,
-            b.ts_us,
-            std::cmp::Reverse(b.dur_us),
-            b.id.0,
-        ))
-    });
-    for s in &spans {
-        events.push(event_json(s));
+    let mut spans: Vec<(usize, usize, &Event)> = views
+        .iter()
+        .enumerate()
+        .flat_map(|(pid, (_, evs))| evs.iter().enumerate().map(move |(i, e)| (pid, i, e)))
+        .collect();
+    spans.sort_by_key(|&(pid, i, e)| (pid, e.tid, e.ts_us, std::cmp::Reverse(e.dur_us), i));
+    for (pid, _, e) in spans {
+        events.push(event_json(pid, e));
     }
 
     let mut out = String::from("{\"traceEvents\":[\n");
@@ -256,23 +300,21 @@ pub fn chrome_trace(rec: &SpanRecorder) -> String {
     out
 }
 
-fn event_json(s: &Span) -> String {
-    let mut args = String::new();
-    for (i, (k, v)) in s.args.iter().enumerate() {
-        if i > 0 {
-            args.push(',');
-        }
-        args.push_str(&format!(r#""{}":"{}""#, escape(k), escape(v)));
-    }
+fn event_json(pid: usize, e: &Event) -> String {
+    let args: Vec<String> = e
+        .args
+        .iter()
+        .map(|(k, v)| format!(r#""{}":"{}""#, escape(k), escape(v)))
+        .collect();
     format!(
         r#"{{"name":"{}","cat":"{}","ph":"X","ts":{},"dur":{},"pid":{},"tid":{},"args":{{{}}}}}"#,
-        escape(&s.name),
-        s.kind.cat(),
-        s.ts_us,
-        s.dur_us,
-        s.pid,
-        s.tid,
-        args
+        escape(&e.name),
+        e.cat,
+        e.ts_us,
+        e.dur_us,
+        pid,
+        e.tid,
+        args.join(",")
     )
 }
 
@@ -280,7 +322,7 @@ fn event_json(s: &Span) -> String {
 mod tests {
     use super::*;
     use crate::obs::history::{Phase, PhaseSlice};
-    use crate::obs::json;
+    use crate::obs::{json, Obs};
 
     fn sample_history() -> JobHistory {
         let task = |index: usize, node: usize, start: f64, dur: f64| TaskLane {
@@ -326,36 +368,38 @@ mod tests {
 
     #[test]
     fn record_job_builds_span_tree() {
-        let rec = SpanRecorder::enabled();
-        let (pid, root) = record_job(&rec, &sample_history()).unwrap();
-        let spans = rec.spans();
+        let obs = Obs::enabled();
+        obs.record_job(sample_history());
+        let (lanes, events) = obs.with_histories(|hs| job_events(&hs[0]));
         // 1 job + 3 stages (setup/map/overhead) + 2 tasks + 4 phases.
-        assert_eq!(spans.len(), 10);
-        let job = &spans[root.0 as usize];
-        assert_eq!(job.kind, SpanKind::Job);
-        assert_eq!(job.dur_us, 13_000_000);
-        assert_eq!(job.pid, pid);
+        assert_eq!(events.len(), 10);
+        assert_eq!(events[0].cat, "job");
+        assert_eq!(events[0].dur_us, 13_000_000);
         // Tasks parent to the map stage, phases to their task.
-        let tasks: Vec<&Span> = spans.iter().filter(|s| s.kind == SpanKind::Task).collect();
-        assert_eq!(tasks.len(), 2);
-        let map_stage = spans
+        let map_stage = events
             .iter()
-            .find(|s| s.kind == SpanKind::Stage && s.name == "map")
+            .position(|e| e.cat == "stage" && e.name == "map")
             .unwrap();
-        assert!(tasks.iter().all(|t| t.parent == Some(map_stage.id)));
-        for t in &tasks {
-            let phases: Vec<&Span> = spans
+        let tasks: Vec<usize> = (0..events.len())
+            .filter(|&i| events[i].cat == "task")
+            .collect();
+        assert_eq!(tasks.len(), 2);
+        for &t in &tasks {
+            assert_eq!(events[t].parent, Some(map_stage));
+            let task = &events[t];
+            let phases: Vec<&Event> = events
                 .iter()
-                .filter(|s| s.parent == Some(t.id) && s.kind == SpanKind::Phase)
+                .filter(|e| e.parent == Some(t) && e.cat == "phase")
                 .collect();
             assert_eq!(phases.len(), 2);
             // Nesting: phases stay inside the task interval.
             for p in phases {
-                assert!(p.ts_us >= t.ts_us && p.end_us() <= t.end_us());
+                assert!(p.ts_us >= task.ts_us);
+                assert!(p.ts_us + p.dur_us <= task.ts_us + task.dur_us);
             }
         }
         // Lanes: job lane 0 plus one lane per (node, slot).
-        assert_eq!(rec.threads().len(), 3);
+        assert_eq!(lanes, ["job", "map node0 slot0", "map node1 slot0"]);
     }
 
     #[test]
@@ -365,12 +409,10 @@ mod tests {
         h.speculative_wins = 1;
         h.rereplicated_blocks = 3;
         h.tasks[1].speculative = true;
-        let rec = SpanRecorder::enabled();
-        let (_, root) = record_job(&rec, &h).unwrap();
-        let spans = rec.spans();
-        let job = &spans[root.0 as usize];
+        let (_, events) = job_events(&h);
         let arg = |k: &str| {
-            job.args
+            events[0]
+                .args
                 .iter()
                 .find(|(key, _)| key == k)
                 .map(|(_, v)| v.clone())
@@ -379,15 +421,37 @@ mod tests {
         assert_eq!(arg("speculative_wins").as_deref(), Some("1"));
         assert_eq!(arg("rereplicated_blocks").as_deref(), Some("3"));
         assert_eq!(arg("blacklisted_nodes"), None, "zero counters stay absent");
-        assert!(spans.iter().any(|s| s.name == "map 1 (backup)"));
-        assert!(spans.iter().any(|s| s.name == "map 0"));
+        assert!(events.iter().any(|e| e.name == "map 1 (backup)"));
+        assert!(events.iter().any(|e| e.name == "map 0"));
+    }
+
+    #[test]
+    fn cache_and_final_sort_bands_follow_the_job_on_its_lane() {
+        let mut h = sample_history();
+        assert!(job_events(&h)
+            .1
+            .iter()
+            .all(|e| e.parent.is_some() || e.cat == "job"));
+        h.served_from_cache = true;
+        h.final_sort = Some((7, 0.25));
+        let (_, events) = job_events(&h);
+        let tail: Vec<(&str, u64, u64)> = events[events.len() - 2..]
+            .iter()
+            .inspect(|e| assert!(e.parent.is_none() && e.tid == 0 && e.cat == "phase"))
+            .map(|e| (e.name.as_str(), e.ts_us, e.dur_us))
+            .collect();
+        assert_eq!(
+            tail,
+            [
+                ("served-from-cache", 0, 13_000_000),
+                ("final-sort", 13_000_000, 250_000)
+            ]
+        );
     }
 
     #[test]
     fn chrome_trace_is_valid_and_monotone() {
-        let rec = SpanRecorder::enabled();
-        record_job(&rec, &sample_history()).unwrap();
-        let text = chrome_trace(&rec);
+        let text = chrome_trace(&[sample_history(), sample_history()]);
         let doc = json::parse(&text).expect("trace must be valid JSON");
         let events = doc.get("traceEvents").unwrap().as_arr().unwrap();
         assert!(!events.is_empty());
@@ -405,23 +469,31 @@ mod tests {
                 assert!(ts >= prev, "ts must be monotone within a track");
             }
         }
+        // One process per history, numbered by position.
+        assert_eq!(last.keys().map(|k| k.0).max(), Some(1));
     }
 
     #[test]
     fn chrome_trace_is_deterministic() {
-        let render = || {
-            let rec = SpanRecorder::enabled();
-            record_job(&rec, &sample_history()).unwrap();
-            chrome_trace(&rec)
-        };
+        let render = || chrome_trace(&[sample_history()]);
         assert_eq!(render(), render());
     }
 
     #[test]
     fn disabled_recorder_produces_empty_trace() {
-        let rec = SpanRecorder::disabled();
-        assert!(record_job(&rec, &sample_history()).is_none());
-        let text = chrome_trace(&rec);
-        assert!(json::parse(&text).is_ok());
+        let obs = Obs::disabled();
+        obs.record_job(sample_history());
+        let text = obs.chrome_trace();
+        assert_eq!(text, chrome_trace(&[]));
+        let doc = json::parse(&text).unwrap();
+        assert!(doc.get("traceEvents").unwrap().as_arr().unwrap().is_empty());
+    }
+
+    #[test]
+    fn us_conversion_rounds_deterministically() {
+        assert_eq!(us(0.0), 0);
+        assert_eq!(us(1.5), 1_500_000);
+        assert_eq!(us(0.000_000_6), 1);
+        assert_eq!(us(-1.0), 0);
     }
 }

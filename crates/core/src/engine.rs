@@ -2,7 +2,7 @@
 
 use crate::config::Features;
 use crate::planner::plan_query;
-use clyde_common::obs::{us, Obs, QueryProfile, SpanKind};
+use clyde_common::obs::{Obs, QueryProfile};
 use clyde_common::{ClydeError, Result, Row};
 use clyde_dfs::Dfs;
 use clyde_mapred::{CostParams, Engine, FaultPlan, JobCost, JobProfile};
@@ -85,7 +85,7 @@ impl Clydesdale {
     }
 
     /// Attach an observability hub (chainable): jobs record their history
-    /// and spans there, and `query` appends the final-sort phase.
+    /// there, and `query` attaches its final sort to its job's history.
     pub fn with_obs(mut self, obs: Arc<Obs>) -> Clydesdale {
         self.engine.set_obs(obs);
         self
@@ -109,7 +109,7 @@ impl Clydesdale {
 
     /// Override how many *host* OS threads the map runner really spawns
     /// (chainable). The cost model keeps pricing with the cluster's map-slot
-    /// count, so any value must leave results, simulated spans, and metric
+    /// count, so any value must leave results, simulated traces, and metric
     /// snapshots byte-identical — the property the thread-count-invariance
     /// test and the `shadow_check` harness assert with 1/2/8.
     pub fn with_host_threads(mut self, host_threads: u32) -> Clydesdale {
@@ -262,19 +262,8 @@ impl Clydesdale {
         query.finish_result(&mut rows);
         let final_sort_s = self.engine.params().final_sort_s(rows.len());
         if obs.is_enabled() {
-            // Append the client-side sort right after the job on its track.
-            if let Some(job) = obs.last_job() {
-                obs.spans().span(
-                    None,
-                    SpanKind::Phase,
-                    "final-sort",
-                    job.pid,
-                    0,
-                    us(job.total_s),
-                    us(job.total_s + final_sort_s).saturating_sub(us(job.total_s)),
-                    vec![("rows".into(), rows.len().to_string())],
-                );
-            }
+            // The client-side sort follows the query's job on its trace lane.
+            obs.record_final_sort(rows.len(), final_sort_s);
             obs.metrics().counter_add("mapred.queries", 1);
             obs.metrics()
                 .histogram_record("mapred.final_sort_s", final_sort_s);

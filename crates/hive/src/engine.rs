@@ -98,7 +98,7 @@ impl Hive {
     }
 
     /// Attach an observability hub (chainable): every stage job records its
-    /// history, spans, and counters there.
+    /// history and counters there.
     pub fn with_obs(mut self, obs: Arc<Obs>) -> Hive {
         self.engine.set_obs(obs);
         self

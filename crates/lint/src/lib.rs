@@ -172,7 +172,6 @@ pub const D004_AUDITED: &[&str] = &[
     // The checker itself and the observability hub's internal state.
     "crates/common/src/lockorder.rs",
     "crates/common/src/obs/mod.rs",
-    "crates/common/src/obs/span.rs",
     "crates/common/src/obs/metrics.rs",
     // The multi-threaded map runner (paper Figure 5): the shared morsel
     // source (one mutex around reader state, held only to slice the next

@@ -27,6 +27,7 @@ pub const D008_SINKS: &[&str] = &[
     "histogram_record",
     "span",
     "record_job",
+    "record_final_sort",
     "chrome_trace",
     "to_json",
     "profiles_json",

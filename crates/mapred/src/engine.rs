@@ -33,7 +33,7 @@ use crate::task::{
     MapOutputBuffer, MapTaskContext, MemoryLedger, MemoryTracker, NodeState, TaskIo,
 };
 use clyde_common::lockorder::Mutex;
-use clyde_common::obs::{Obs, Phase, SpanKind, TaskKind, WallTimer};
+use clyde_common::obs::{Obs, Phase, TaskKind, WallTimer};
 use clyde_common::{keycodec, rowcodec, ClydeError, Result, Row};
 use clyde_dfs::IoScope;
 use clyde_dfs::{CacheEntry, Dfs, IoSnapshot, NodeId, NodeLocalStore};
@@ -699,7 +699,7 @@ impl Engine {
     }
 
     /// Attach an observability hub; every job run afterwards records its
-    /// history, spans, and metrics there.
+    /// history and metrics there.
     pub fn set_obs(&mut self, obs: Arc<Obs>) {
         self.obs = obs;
     }
@@ -1008,7 +1008,7 @@ impl Engine {
     }
 }
 
-/// Record a finished job into the observability hub: history + spans plus
+/// Record a finished job into the observability hub: its history plus
 /// the unified metrics (engine counters, scheduler locality, DFS I/O
 /// attributed to this job via the scoped snapshot). Shared between the
 /// engine's solo publish path and the job server's scheduled publish path,
@@ -1111,23 +1111,11 @@ pub(crate) fn publish_history(
     // Like the recovery counters: cache.hits only appears when a job was
     // actually served from the cache, so cache-off runs keep their metric
     // set byte-identical.
-    let (span_ts_s, span_dur_s) = (hist.t0_s, hist.total_s());
-    let job_ref = obs.record_job(hist);
     if served_from_cache {
         m.counter_add("cache.hits", 1);
-        if let Some(j) = job_ref {
-            obs.spans().span(
-                None,
-                SpanKind::Phase,
-                "served-from-cache",
-                j.pid,
-                0,
-                (span_ts_s * 1e6) as u64,
-                (span_dur_s * 1e6) as u64,
-                vec![("job".into(), profile.name.clone())],
-            );
-        }
     }
+    hist.served_from_cache = served_from_cache;
+    obs.record_job(hist);
 }
 
 #[cfg(test)]

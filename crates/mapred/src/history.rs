@@ -158,6 +158,9 @@ fn history(
         // DFS scope); histories start with an empty snapshot.
         io: Vec::new(),
         corrupt_reads: 0,
+        // Set at publish time (cache hits) and by the query layer (sort).
+        served_from_cache: false,
+        final_sort: None,
         tasks,
     }
 }

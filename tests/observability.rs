@@ -1,8 +1,8 @@
 //! Observability end-to-end: traces are deterministic, results are
-//! unaffected by recording, and the span/metrics view agrees with the
-//! profiles the engines already report.
+//! unaffected by recording, and the history/trace/metrics views agree with
+//! the profiles the engines already report.
 
-use clyde_common::obs::{SpanKind, TaskKind};
+use clyde_common::obs::TaskKind;
 use clyde_common::Obs;
 use clyde_dfs::{ClusterSpec, ColocatingPlacement, Dfs, DfsOptions};
 use clyde_hive::{Hive, JoinStrategy};
@@ -146,15 +146,23 @@ fn histories_and_metrics_mirror_the_job() {
         + snap.counter("dfs.io.remote_read_bytes").unwrap_or(0);
     assert!(read > 0);
 
-    // The job span tree is present: one process, a job root, task lanes.
-    let spans = obs.spans().spans();
-    let jobs = spans.iter().filter(|s| s.kind == SpanKind::Job).count();
-    let tasks = spans.iter().filter(|s| s.kind == SpanKind::Task).count();
-    assert_eq!(jobs, 1);
+    // The trace renders the history: one process, a job root, one task
+    // event per task lane, and the final sort after the job.
+    let trace = obs.chrome_trace();
+    let count = |needle: &str| trace.matches(needle).count();
+    assert_eq!(count(r#""name":"process_name""#), 1);
+    assert_eq!(count(r#""cat":"job""#), 1);
     assert_eq!(
-        tasks,
+        count(r#""cat":"task""#),
         result.profile.map_tasks.len() + result.profile.reduce_tasks.len()
     );
+    obs.with_histories(|hs| {
+        assert_eq!(
+            hs[0].final_sort.map(|(rows, _)| rows),
+            Some(result.rows.len())
+        )
+    });
+    assert_eq!(count(r#""name":"final-sort""#), 1);
 
     // Reset gives a clean slate for the next bench iteration.
     obs.reset();
